@@ -5,6 +5,8 @@ TransRow width, (b) node-type shares vs width, (c) node-type shares vs row
 size for 8-bit, (d) prefix-distance histogram vs row size.
 """
 
+import blas_env  # noqa: F401 - pins BLAS threads before NumPy loads
+
 from repro.analysis import (
     density_vs_row_size,
     distance_histogram,

@@ -30,7 +30,10 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+BENCH_DIR = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH_DIR), str(BENCH_DIR.parent / "src")]
+
+import blas_env  # noqa: E402 - pins BLAS threads before NumPy loads
 
 from repro.analysis import fc_layer_comparison, format_table, geomean  # noqa: E402
 from repro.analysis.comparison import geomean_speedup  # noqa: E402
@@ -97,6 +100,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
     wall_s = time.perf_counter() - start
     results = {
         "benchmark": "bench_fig10_fc_layers",
+        "blas_threads_env": blas_env.blas_threads_env(),
         "scale": scale,
         "models": list(config["models"]),
         "sequence_length": config["sequence_length"],

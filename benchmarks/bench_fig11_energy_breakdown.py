@@ -1,5 +1,7 @@
 """Fig. 11: TransArray energy breakdown on the LLaMA-1-7B first FC layer."""
 
+import blas_env  # noqa: F401 - pins BLAS threads before NumPy loads
+
 from repro.transarray import TransitiveArrayAccelerator
 from repro.workloads import llama_fc_gemms
 from repro.analysis import format_table

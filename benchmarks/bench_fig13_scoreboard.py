@@ -1,5 +1,7 @@
 """Fig. 13: static vs dynamic scoreboard density on real and random data."""
 
+import blas_env  # noqa: F401 - pins BLAS threads before NumPy loads
+
 from repro.analysis import format_table, scoreboard_density_study
 
 ROW_SIZES = (64, 128, 256, 512)

@@ -1,5 +1,7 @@
 """Fig. 14: per-layer ResNet-18 speedups of BitFusion, ANT and TransArray."""
 
+import blas_env  # noqa: F401 - pins BLAS threads before NumPy loads
+
 from repro.analysis import format_table, resnet_comparison
 from repro.analysis.comparison import geomean_speedup
 

@@ -6,6 +6,8 @@ functional transitive GEMM — so performance regressions in the library itself
 are visible separately from the simulated results.
 """
 
+import blas_env  # noqa: F401 - pins BLAS threads before NumPy loads
+
 import numpy as np
 
 from repro.bitslice import binary_weight_matrix

@@ -1,15 +1,16 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark of the GEMM fast path and the lowered-kernel path.
+"""Wall-clock benchmark of the GEMM fast path and the planned exact-BLAS path.
 
 Two measurements anchor the performance trajectory of the engine:
 
 * ``speedup_1024``: fast path vs the scalar oracle (T=8, 4-bit weights) —
   the acceptance gate is a >= 10x speedup;
 * ``llama_fc_4096``: the fast path and the compiled plan on a LLaMA-7B-style
-  FC layer (8-bit weights): cold, warm static-scoreboard cache, the
-  interpreted planned path, and the lowered-kernel planned path (the serving
-  hot path since the ``repro.kernels`` subsystem).  The lowered gate asserts
-  the compiled kernel beats the interpreted planned path.
+  FC layer (8-bit weights): cold, warm static-scoreboard cache, plan compile
+  time split into scoreboard and kernel-build seconds, the interpreted
+  planned path, and the planned path through ``exact_matmul`` (the serving
+  hot path).  The planned gate asserts the exact-BLAS kernel beats the
+  interpreted planned path.
 
 Two scales share the harness (``--scale``):
 
@@ -19,26 +20,28 @@ Two scales share the harness (``--scale``):
   writes ``BENCH_perf_gemm_smoke.json`` in seconds instead of minutes.
 
 ``--check`` additionally gates the fresh run: absolute floors (fast >= 10x
-scalar, lowered >= the scale's factor over interpreted) plus a generous
+scalar, planned >= the scale's factor over interpreted) plus a generous
 regression bound against the checked-in baseline JSON of the same scale, and
 exits non-zero on any failure.  Every result is checked bit-exact against
 NumPy at every scale.
 
 Run as a script (``python benchmarks/bench_perf_gemm.py [--scale smoke]
 [--check]``) or through pytest (``pytest benchmarks/bench_perf_gemm.py``,
-full scale).
+full scale).  BLAS runs on one thread (see ``blas_env.py``).
 """
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
-import numpy as np
+BENCH_DIR = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH_DIR), str(BENCH_DIR.parent / "src")]
 
-import sys
+import blas_env  # noqa: E402 - pins BLAS threads before NumPy loads
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np  # noqa: E402
 
 from repro.core import TransitiveGemmEngine  # noqa: E402
 
@@ -50,13 +53,13 @@ SCALES = {
         "suffix": "",
         "speedup_shape": (1024, 1024, 16),
         "llama_shape": (4096, 4096, 16),
-        "lowered_gate": 3.0,
+        "planned_gate": 3.0,
     },
     "smoke": {
         "suffix": "_smoke",
         "speedup_shape": (256, 256, 16),
         "llama_shape": (512, 512, 16),
-        "lowered_gate": 2.0,
+        "planned_gate": 2.0,
     },
 }
 #: Absolute floor: fast path vs the scalar oracle, every scale.
@@ -127,7 +130,7 @@ def bench_speedup(shape):
 
 
 def bench_llama_fc(shape):
-    """Fast, interpreted-planned and lowered-planned on an FC layer (S=8)."""
+    """Fast, interpreted-planned and exact-BLAS planned on an FC layer (S=8)."""
     n, k, m = shape
     rng = np.random.default_rng(1)
     weight, activation = _random_gemm(rng, n, k, m, weight_bits=8)
@@ -138,24 +141,24 @@ def bench_llama_fc(shape):
     new_activation = rng.integers(-128, 128, size=(k, m), dtype=np.int64)
     warm_s, warm_report = _time(lambda: engine.multiply(weight, new_activation, 8))
 
-    # The serving path: compile the plan once (scoreboard from the warm LRU
-    # cache + kernel lowering), then time one planned call through the lowered
-    # kernel and one through the retained interpreter.
+    # The serving path: compile the plan once on a cold engine (scoreboard +
+    # kernel build), then time one planned call through exact_matmul and one
+    # through the interpreted prefix-reuse walk.
+    compiler = TransitiveGemmEngine(transrow_bits=8, max_distance=4, fast=True)
     plan_start = time.perf_counter()
-    plan = engine.plan(weight, 8)
+    plan = compiler.plan(weight, 8)
     plan_compile_s = time.perf_counter() - plan_start
     planned_s, planned_report = _time(
-        lambda: engine.multiply_planned(plan, activation), repeats=3
+        lambda: compiler.multiply_planned(plan, activation), repeats=3
     )
-    dense_planned_s, interp_report = _time(
-        lambda: engine.multiply_planned(plan, activation, lowered=False),
-        repeats=3,
+    interpreted_s, interpreted = _time(
+        lambda: compiler._interpret_planned(plan, activation), repeats=3
     )
 
     assert np.array_equal(report.output, expected)
     assert np.array_equal(warm_report.output, weight @ new_activation)
     assert np.array_equal(planned_report.output, expected)
-    assert np.array_equal(interp_report.output, expected)
+    assert np.array_equal(interpreted, expected)
     assert planned_report.op_counts == report.op_counts
     info = engine.scoreboard_cache_info()
     assert info.hits >= 1
@@ -166,11 +169,12 @@ def bench_llama_fc(shape):
         "fast_cold_s": cold_s,
         "fast_cached_s": warm_s,
         "plan_compile_s": plan_compile_s,
-        "lowering_s": plan.kernel.lowering_s,
+        "scoreboard_s": plan_compile_s - plan.kernel_build_s,
+        "kernel_build_s": plan.kernel_build_s,
+        "kernel_bytes": plan.weight_f64.nbytes,
         "planned_s": planned_s,
-        "dense_planned_s": dense_planned_s,
-        "planned_speedup_vs_dense": dense_planned_s / planned_s,
-        "kernel": plan.kernel.stats(),
+        "interpreted_planned_s": interpreted_s,
+        "planned_speedup_vs_interpreted": interpreted_s / planned_s,
         "total_transrows": report.op_counts.total_transrows,
         "density": report.op_counts.density,
     }
@@ -181,6 +185,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
     results = {
         "benchmark": "bench_perf_gemm",
         "scale": scale,
+        "blas_threads_env": blas_env.blas_threads_env(),
         "speedup_1024": bench_speedup(config["speedup_shape"]),
         "llama_fc_4096": bench_llama_fc(config["llama_shape"]),
     }
@@ -198,16 +203,16 @@ def check(scale: str, results: dict, baseline: dict) -> list:
             f"fast-path speedup {speedup:.1f}x is below the "
             f"{SPEEDUP_GATE:.0f}x gate"
         )
-    lowered = results["llama_fc_4096"]["planned_speedup_vs_dense"]
-    gate = SCALES[scale]["lowered_gate"]
-    if lowered < gate:
+    planned = results["llama_fc_4096"]["planned_speedup_vs_interpreted"]
+    gate = SCALES[scale]["planned_gate"]
+    if planned < gate:
         failures.append(
-            f"lowered-kernel speedup {lowered:.2f}x over the interpreted "
+            f"planned-kernel speedup {planned:.2f}x over the interpreted "
             f"planned path is below the {gate:.1f}x gate"
         )
     for metric, fresh_value in (
         ("speedup_1024.speedup", speedup),
-        ("llama_fc_4096.planned_speedup_vs_dense", lowered),
+        ("llama_fc_4096.planned_speedup_vs_interpreted", planned),
     ):
         section, key = metric.split(".")
         baseline_value = baseline.get(section, {}).get(key)
@@ -223,20 +228,19 @@ def check(scale: str, results: dict, baseline: dict) -> list:
 
 
 def test_fast_path_speedup_over_scalar():
-    """Tier-2 gate: >= 10x over scalar and a faster lowered than interpreted
-    planned path at LLM tile size."""
+    """Tier-2 gate: >= 10x over scalar and a faster exact-BLAS than
+    interpreted planned path at LLM tile size."""
     results = run(scale="full", write=True)
     assert results["speedup_1024"]["speedup"] >= SPEEDUP_GATE
     assert (
-        results["llama_fc_4096"]["planned_speedup_vs_dense"]
-        >= SCALES["full"]["lowered_gate"]
+        results["llama_fc_4096"]["planned_speedup_vs_interpreted"]
+        >= SCALES["full"]["planned_gate"]
     )
 
 
 def _print_results(scale, results):
     one = results["speedup_1024"]
     llama = results["llama_fc_4096"]
-    kernel = llama["kernel"]
     print(f"[{scale}] {'x'.join(map(str, one['shape']))} (T=8, S=4): "
           f"scalar {one['scalar_s']:.3f}s, "
           f"fast {one['fast_s']:.3f}s ({one['speedup']:.1f}x), "
@@ -244,12 +248,12 @@ def _print_results(scale, results):
     print(f"[{scale}] {'x'.join(map(str, llama['shape']))} (T=8, S=8): "
           f"fast cold {llama['fast_cold_s']:.3f}s, "
           f"cached {llama['fast_cached_s']:.3f}s")
-    print(f"[{scale}] planned: lowered {llama['planned_s'] * 1e3:.2f} ms "
-          f"({kernel['backend']}) vs interpreted "
-          f"{llama['dense_planned_s'] * 1e3:.2f} ms "
-          f"-> {llama['planned_speedup_vs_dense']:.2f}x "
-          f"(lowering {llama['lowering_s'] * 1e3:.1f} ms, "
-          f"{kernel['kernel_bytes'] / 1024:.0f} KiB)")
+    print(f"[{scale}] planned: exact BLAS {llama['planned_s'] * 1e3:.2f} ms "
+          f"vs interpreted {llama['interpreted_planned_s'] * 1e3:.2f} ms "
+          f"-> {llama['planned_speedup_vs_interpreted']:.2f}x "
+          f"(compile: scoreboard {llama['scoreboard_s']:.3f} s, "
+          f"kernel build {llama['kernel_build_s'] * 1e3:.1f} ms, "
+          f"{llama['kernel_bytes'] / 1024:.0f} KiB)")
     print(f"wrote {output_path(scale)}")
 
 

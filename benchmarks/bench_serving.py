@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Serving-runtime benchmark over a compiled, kernel-lowered model plan.
+"""Serving-runtime benchmark over a compiled model plan.
 
 Compiles one layer into a :class:`~repro.serving.ModelPlan` (the compiled
-plan carries a lowered ``repro.kernels`` executor per layer), then measures:
+plan carries each layer's float64 kernel weights and row bound for the exact
+BLAS product), then measures:
 
 * **batched serving**: concurrent single-column requests through the
   thread-pool server and micro-batcher — throughput and p50/p95/p99 latency
@@ -67,20 +68,23 @@ process-sharded tier (``BENCH_serving_overload_mp{,_smoke}.json``).
 
 Every mode submits through the model-level API only (``submit(activation)``
 / ``submit(activations[i], ...)``); the deprecated per-layer
-``submit(layer, activation)`` surface is not exercised here.
+``submit(layer, activation)`` surface is not exercised here.  BLAS runs on
+one thread (see ``blas_env.py``), recorded in every JSON.
 """
 
 import argparse
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
-import numpy as np
+BENCH_DIR = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH_DIR), str(BENCH_DIR.parent / "src")]
 
-import sys
+import blas_env  # noqa: E402 - pins BLAS threads before NumPy loads
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np  # noqa: E402
 
 from repro.errors import (  # noqa: E402
     BackpressureError,
@@ -203,6 +207,14 @@ def bench_serving(plan, layer_name):
     return report, sequential_rps
 
 
+def _kernel_state_layers(plan) -> int:
+    """Layers whose plan pins float64 kernel weights of the layer's shape."""
+    return sum(
+        plan.layer(name).gemm_plan.weight_f64.shape == plan.layer(name).weight.shape
+        for name in plan.layer_names()
+    )
+
+
 def run(scale: str = "full", write: bool = True) -> dict:
     """Shared harness: the LLaMA acceptance test in ``tests/serving`` and the
     CI gate below both run this, so the scenario cannot drift between them."""
@@ -211,6 +223,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
     report, sequential_rps = bench_serving(plan, config["layer"])
     results = {
         "benchmark": "bench_serving",
+        "blas_threads_env": blas_env.blas_threads_env(),
         "scale": scale,
         "bit_identical": True,  # bench_serving asserted every output
         "model": config["model"],
@@ -221,6 +234,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
         "num_workers": NUM_WORKERS,
         "compile_s": compile_s,
         "compile_stats": plan.compile_stats.as_dict(),
+        "kernel_state_layers": _kernel_state_layers(plan),
         "sequential_rps": sequential_rps,
         "speedup_vs_sequential": report.throughput_rps / sequential_rps,
         "serving": report.as_dict(),
@@ -239,8 +253,8 @@ def check(results: dict, baseline: dict) -> list:
             f"batched serving speedup {speedup:.2f}x over sequential is "
             f"below the {SPEEDUP_GATE:.0f}x gate"
         )
-    if not results["compile_stats"]["kernel_backends"]:
-        failures.append("compiled plan carries no lowered kernel backend")
+    if results["kernel_state_layers"] != results["compile_stats"]["num_layers"]:
+        failures.append("compiled plan has layer(s) without kernel state")
     fresh_rps = results["serving"]["throughput_rps"]
     baseline_rps = baseline.get("serving", {}).get("throughput_rps")
     if baseline_rps is not None:
@@ -267,7 +281,7 @@ def _measure_rps(plan, layer_name, execution, num_workers, activations):
     """Throughput of one execution tier over a fixed request mix.
 
     Every worker/shard is warmed first (thread mode: LRU caches; process
-    mode: plan unpickling and lazy kernel recompilation in the children), so
+    mode: plan unpickling and BLAS start-up in the children), so
     the timed window measures steady-state serving, not cold start.  Every
     output is verified bit-identical before the rate is returned.
     """
@@ -335,6 +349,7 @@ def run_mp(scale: str = "full", shards: int = 0, write: bool = True) -> dict:
     )
     results = {
         "benchmark": "bench_serving_mp",
+        "blas_threads_env": blas_env.blas_threads_env(),
         "scale": scale,
         "bit_identical": True,  # _measure_rps asserted every output
         "model": plan.name,
@@ -417,7 +432,7 @@ def test_batched_serving_2x_sequential():
     assert results["speedup_vs_sequential"] >= SPEEDUP_GATE
     assert results["serving"]["num_requests"] == NUM_REQUESTS
     assert results["serving"]["latency_p99_s"] > 0.0
-    assert results["compile_stats"]["kernel_backends"]
+    assert results["kernel_state_layers"] == results["compile_stats"]["num_layers"]
 
 
 # ------------------------------------------------------ whole-model pipeline
@@ -485,6 +500,7 @@ def run_pipeline(scale: str = "full", write: bool = True) -> dict:
     pipelined_rps = PIPELINE_NUM_REQUESTS / elapsed
     results = {
         "benchmark": "bench_serving_pipeline",
+        "blas_threads_env": blas_env.blas_threads_env(),
         "scale": scale,
         "bit_identical": True,  # asserted above against plan.run_model
         "model": plan.name,
@@ -639,6 +655,7 @@ def run_chaos_smoke(write: bool = True, execution: str = "threads") -> dict:
         }
     results = {
         "benchmark": "bench_serving_faults",
+        "blas_threads_env": blas_env.blas_threads_env(),
         "scenario": "smoke",
         "execution": execution,
         "num_requests": num_requests,
@@ -920,6 +937,7 @@ def run_overload(
     )
     results = {
         "benchmark": "bench_serving_overload",
+        "blas_threads_env": blas_env.blas_threads_env(),
         "scale": scale,
         "execution": execution,
         "model": plan.name,
@@ -1037,11 +1055,10 @@ def overload_main(scale: str, execution: str, do_check: bool) -> None:
 def _print_results(scale, results):
     serving = results["serving"]
     compile_stats = results["compile_stats"]
-    backends = ", ".join(compile_stats["kernel_backends"]) or "none"
     print(f"[{scale}] {results['model']} {results['layer']} "
           f"(INT{WEIGHT_BITS}): compile {results['compile_s']:.2f}s "
-          f"(lowering {compile_stats['lowering_s'] * 1e3:.1f} ms, "
-          f"kernel backend {backends})")
+          f"(kernel build {compile_stats['lowering_s'] * 1e3:.1f} ms, "
+          f"{compile_stats['kernel_bytes'] / 1024:.0f} KiB float64 weights)")
     print(f"batched   : {serving['throughput_rps']:.1f} req/s, "
           f"p50 {serving['latency_p50_s'] * 1e3:.0f} ms, "
           f"p99 {serving['latency_p99_s'] * 1e3:.0f} ms, "

@@ -1,5 +1,7 @@
 """Table 2: compute-core and buffer area of the TransArray and the baselines."""
 
+import blas_env  # noqa: F401 - pins BLAS threads before NumPy loads
+
 from repro.analysis import format_table
 from repro.energy import baseline_area_report, transarray_area_report
 

@@ -5,6 +5,8 @@ output error mapped onto the published FP16 anchors); the assertions check the
 qualitative structure of the paper's table.
 """
 
+import blas_env  # noqa: F401 - pins BLAS threads before NumPy loads
+
 from repro.analysis import format_table
 from repro.quant import perplexity_table
 from repro.quant.accuracy import FP16_PERPLEXITY, perplexity_grid

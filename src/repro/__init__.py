@@ -4,8 +4,8 @@ The library exposes four layers:
 
 * algorithmic substrate — :mod:`repro.quant`, :mod:`repro.bitslice`,
   :mod:`repro.hasse`, :mod:`repro.scoreboard`;
-* the paper's contribution in functional form — :mod:`repro.core`, with
-  offline plan→kernel lowering in :mod:`repro.kernels`;
+* the paper's contribution in functional form — :mod:`repro.core`, whose
+  compiled plans serve through one exact float64-BLAS product;
 * the architectural simulator — :mod:`repro.transarray`, :mod:`repro.baselines`,
   :mod:`repro.memory`, :mod:`repro.energy`;
 * the evaluation harness — :mod:`repro.workloads`, :mod:`repro.analysis`.
@@ -48,7 +48,6 @@ from .errors import (
     ConfigurationError,
     DeadlineExceededError,
     InjectedFaultError,
-    KernelLoweringError,
     QuantizationError,
     ReproError,
     RequestCancelledError,
@@ -93,7 +92,6 @@ __all__ = [
     "ConfigurationError",
     "DeadlineExceededError",
     "InjectedFaultError",
-    "KernelLoweringError",
     "QuantizationError",
     "ReproError",
     "RequestCancelledError",

@@ -96,13 +96,11 @@ def format_serving_report(report: "ServingReport") -> str:
         )
     if report.compile_stats is not None:
         stats = report.compile_stats
-        backends = ", ".join(stats.kernel_backends) if stats.kernel_backends else "none"
-        rows.append(("kernel backends", backends))
         rows.append(
             ("offline compile", f"{stats.compile_s * 1e3:.1f} ms "
-                                f"({stats.lowering_s * 1e3:.1f} ms lowering)")
+                                f"({stats.lowering_s * 1e3:.1f} ms kernel build)")
         )
-        rows.append(("compiled kernel size", f"{stats.kernel_bytes / 1024:.1f} KiB"))
+        rows.append(("kernel weights (float64)", f"{stats.kernel_bytes / 1024:.1f} KiB"))
     if report.num_shed or report.num_admission_shed:
         rows.append(
             ("requests shed (overload)",

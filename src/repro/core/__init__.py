@@ -14,6 +14,7 @@ from .transitive_gemm import (
     GemmPlan,
     ScoreboardCacheInfo,
     TransitiveGemmEngine,
+    exact_matmul,
     transitive_gemm,
 )
 
@@ -28,5 +29,6 @@ __all__ = [
     "GemmPlan",
     "ScoreboardCacheInfo",
     "TransitiveGemmEngine",
+    "exact_matmul",
     "transitive_gemm",
 ]

@@ -26,23 +26,24 @@ Two execution paths produce identical outputs and identical
   entirely.
 
 On top of both, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
-**once, offline** into a :class:`GemmPlan`, and (by default) lowers the plan
-through :mod:`repro.kernels` into a flat :class:`~repro.kernels.LoweredKernel`
-— scatter/gather index tables composed into a single dense or sparse integer
-matmul.  Planned execution (:meth:`TransitiveGemmEngine.multiply_planned`,
-:meth:`TransitiveGemmEngine.multiply_many`) runs the lowered kernel when one
-is attached and the interpreted batched path otherwise; both are bit-identical
-to the scalar oracle and carry the plan's exact operation counts.
+**once, offline** into a :class:`GemmPlan`: the scoreboard's packed TransRows
+and exact OpCounts, plus a read-only float64 copy of the weights and their
+static row bound ``B = max_row sum|w|``.  Planned execution
+(:meth:`TransitiveGemmEngine.multiply_planned`,
+:meth:`TransitiveGemmEngine.multiply_many`) serves ``weight @ activation``
+through :func:`exact_matmul`, which picks the fastest arithmetic the bound
+proves exact for each batch; the outputs are bit-identical to the scalar
+oracle and carry the plan's exact operation counts.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,13 +60,16 @@ from ..scoreboard.batched import (
 )
 from .metrics import OpCounts, op_counts_from_result
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, repro.kernels imports us
-    from ..kernels import LoweredKernel
-
 #: Soft cap (bytes) on the fast path's per-block scratch arrays; chunks are
 #: processed in blocks sized so the node-result tensor and the per-plane
 #: gathers stay within this budget.
 _FAST_BLOCK_BUDGET_BYTES = 64 * 1024 * 1024
+
+#: Magnitude bounds of the planned product's arithmetic tiers: integers below
+#: 2**53 are exact in float64; two float64 limbs cover results below 2**62.
+_FLOAT64_EXACT = 1 << 53
+_TWO_LIMB_EXACT = 1 << 62
+_INT64_EXACT = 1 << 63
 
 
 @dataclass
@@ -109,13 +113,13 @@ class GemmPlan:
     execution against the plan (:meth:`TransitiveGemmEngine.multiply_planned`
     and :meth:`TransitiveGemmEngine.multiply_many`) skips weight
     fingerprinting, bit-slicing and scoreboarding entirely and goes straight
-    to the gather/accumulate stages, which is what a serving runtime needs on
-    its per-request hot path.
+    to the product itself, which is what a serving runtime needs on its
+    per-request hot path.
 
-    When the engine lowers plans (the default), ``kernel`` holds the
-    :class:`~repro.kernels.LoweredKernel` compiled from the packed TransRows
-    — planned execution then is one flat dense/sparse matmul instead of an
-    interpreted lattice walk, still bit-identical with identical OpCounts.
+    The product runs through :func:`exact_matmul` on ``weight_f64``, a
+    read-only float64 copy of the weights, certified exact by the static row
+    bound ``row_bound = max_row sum|w|`` (a Python int).  Outputs stay
+    bit-identical to the scalar oracle and the OpCounts stay the scoreboard's.
     """
 
     weight: np.ndarray
@@ -124,7 +128,10 @@ class GemmPlan:
     max_distance: int
     packed: np.ndarray
     op_counts: OpCounts
-    kernel: Optional["LoweredKernel"] = None
+    weight_f64: np.ndarray
+    row_bound: int
+    #: Seconds spent building ``weight_f64`` and ``row_bound``.
+    kernel_build_s: float = 0.0
 
     @property
     def n(self) -> int:
@@ -135,6 +142,53 @@ class GemmPlan:
     def k(self) -> int:
         """Reduction dimension (weight columns / activation rows)."""
         return int(self.weight.shape[1])
+
+
+def _row_bound(weight: np.ndarray) -> int:
+    """``max_row sum|w|`` as a Python int (0 for an empty matrix)."""
+    if weight.size == 0:
+        return 0
+    peak = max(int(weight.max()), -int(weight.min()))
+    if peak * weight.shape[1] < _INT64_EXACT:  # the int64 row sums cannot wrap
+        return int(np.abs(weight, dtype=np.int64).sum(axis=1).max())
+    return int(np.abs(weight.astype(object)).sum(axis=1).max())
+
+
+def _peak(x: np.ndarray) -> int:
+    """Largest magnitude in ``x`` as a Python int (int64 min included)."""
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def exact_matmul(plan: GemmPlan, x: np.ndarray) -> np.ndarray:
+    """``plan.weight @ x`` for an int64 ``x``, exact wherever int64 holds it.
+
+    The arithmetic is chosen per call from ``B * p``, where ``B`` is the
+    plan's row bound and ``p`` the peak ``|x|``; every product and partial sum
+    is bounded by it:
+
+    * ``B * p < 2**53``: one float64 BLAS product.  Every partial sum is an
+      integer float64 holds exactly, in any summation order.
+    * ``B * p < 2**62``: ``x = hi * 2**s + lo`` with ``0 <= lo < 2**s``, where
+      ``s`` keeps ``B * max|lo|`` and ``B * max|hi|`` below ``2**53``.  Both
+      limbs run as exact float64 products, and ``(W @ hi << s) + W @ lo``
+      is added in int64, which holds the exact result.
+    * otherwise (or when no such ``s`` exists): the int64 product, which
+      wraps modulo ``2**64`` like every other int64 path in the library.
+    """
+    peak = _peak(x)
+    bound = plan.row_bound * peak
+    if bound < _FLOAT64_EXACT:
+        return (plan.weight_f64 @ x.astype(np.float64)).astype(np.int64)
+    if bound < _TWO_LIMB_EXACT:
+        shift = max(0, 53 - plan.row_bound.bit_length())
+        hi_peak = -(-peak >> shift)  # ceil(p / 2**s) bounds |x >> s|
+        if plan.row_bound * hi_peak < _FLOAT64_EXACT:
+            hi = x >> shift
+            lo = x & ((1 << shift) - 1)
+            hi_part = (plan.weight_f64 @ hi.astype(np.float64)).astype(np.int64)
+            lo_part = (plan.weight_f64 @ lo.astype(np.float64)).astype(np.int64)
+            return (hi_part << shift) + lo_part
+    return np.asarray(plan.weight, dtype=np.int64) @ x
 
 
 @dataclass(eq=False)
@@ -231,20 +285,6 @@ class TransitiveGemmEngine:
     scoreboard_cache_entries:
         Capacity of the static-scoreboard LRU cache used by the fast path.
         ``0`` disables caching (every call re-scoreboards the weights).
-    lower_plans:
-        Lower every :meth:`plan` into a flat compiled kernel by default
-        (:mod:`repro.kernels`); planned execution then runs the kernel
-        instead of interpreting the scoreboard structures per call.
-    kernel_backend:
-        Explicit kernel backend name for lowering (``"dense-numpy"``,
-        ``"csr-scipy"``, ``"reference"``); ``None`` autoselects by
-        capability (the ``REPRO_KERNEL_BACKEND`` environment variable still
-        overrides autoselection).
-    kernel_cache_entries:
-        Capacity of the lowered-kernel LRU cache, kept alongside the
-        scoreboard cache so re-planning the same weights (per-shard or
-        per-layer plan rebuilds in serving) skips lowering too.  ``0``
-        disables it.
     """
 
     def __init__(
@@ -254,9 +294,6 @@ class TransitiveGemmEngine:
         num_lanes: Optional[int] = None,
         fast: bool = True,
         scoreboard_cache_entries: int = 4,
-        lower_plans: bool = True,
-        kernel_backend: Optional[str] = None,
-        kernel_cache_entries: int = 4,
     ) -> None:
         if transrow_bits < 1 or transrow_bits > 16:
             raise SimulationError(
@@ -266,37 +303,27 @@ class TransitiveGemmEngine:
             raise SimulationError(
                 f"scoreboard_cache_entries must be >= 0, got {scoreboard_cache_entries}"
             )
-        if kernel_cache_entries < 0:
-            raise SimulationError(
-                f"kernel_cache_entries must be >= 0, got {kernel_cache_entries}"
-            )
         self.transrow_bits = transrow_bits
         self.max_distance = max_distance
         self.num_lanes = num_lanes if num_lanes is not None else transrow_bits
         self.fast = fast
-        self.lower_plans = lower_plans
-        self.kernel_backend = kernel_backend
         self._cache = _StaticScoreboardCache(scoreboard_cache_entries)
-        self._kernel_cache = _StaticScoreboardCache(kernel_cache_entries)
 
     # ------------------------------------------------------------- pickling
     def __getstate__(self) -> Dict[str, object]:
         """Spawn-safe pickled form: configuration only, no caches or locks.
 
-        The LRU caches hold ``threading.Lock`` objects (unpicklable) and
+        The LRU cache holds a ``threading.Lock`` (unpicklable) and
         per-process state anyway; a process-sharded serving tier pickles the
-        engine alongside its :class:`GemmPlan` replicas, so the caches are
-        rebuilt empty in the child and warm up as the shard serves.
+        engine alongside its :class:`GemmPlan` replicas, so the cache is
+        rebuilt empty in the child and warms up as the shard serves.
         """
         return {
             "transrow_bits": self.transrow_bits,
             "max_distance": self.max_distance,
             "num_lanes": self.num_lanes,
             "fast": self.fast,
-            "lower_plans": self.lower_plans,
-            "kernel_backend": self.kernel_backend,
             "scoreboard_cache_entries": self._cache.max_entries,
-            "kernel_cache_entries": self._kernel_cache.max_entries,
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -340,32 +367,17 @@ class TransitiveGemmEngine:
         """Hit/miss statistics of the static-scoreboard cache."""
         return self._cache.info()
 
-    def kernel_cache_info(self) -> ScoreboardCacheInfo:
-        """Hit/miss statistics of the lowered-kernel cache."""
-        return self._kernel_cache.info()
-
     # ---------------------------------------------------------- plan serving
-    def plan(
-        self,
-        weight: np.ndarray,
-        weight_bits: int,
-        lower: Optional[bool] = None,
-        kernel_backend: Optional[str] = None,
-    ) -> GemmPlan:
+    def plan(self, weight: np.ndarray, weight_bits: int) -> GemmPlan:
         """Precompute the static scoreboard of one weight matrix, offline.
 
         Bit-slices, packs and scoreboards the weights exactly once and returns
-        a :class:`GemmPlan` handle.  Executions against the handle
-        (:meth:`multiply_planned`, :meth:`multiply_many`) skip the per-call
-        weight fingerprint and all weight-side work; the LRU cache is warmed
-        as a side effect so plain :meth:`multiply` calls with the same weights
-        also hit.
-
-        ``lower`` (default: the engine's ``lower_plans`` setting) also
-        compiles the plan into a flat :class:`~repro.kernels.LoweredKernel`
-        through ``kernel_backend`` (default: the engine's setting, else
-        autoselection); lowered kernels are cached in their own LRU alongside
-        the scoreboard cache.
+        a :class:`GemmPlan` handle, which also pins the float64 weights and
+        row bound :func:`exact_matmul` serves from.  Executions against the
+        handle (:meth:`multiply_planned`, :meth:`multiply_many`) skip the
+        per-call weight fingerprint and all weight-side work; the LRU cache is
+        warmed as a side effect so plain :meth:`multiply` calls with the same
+        weights also hit.
         """
         # Pin the compiled weights: a caller-side mutation after plan() must
         # not desynchronise plan.weight from the packed TransRows.
@@ -377,74 +389,30 @@ class TransitiveGemmEngine:
             raise SimulationError("cannot plan a weight matrix with a zero dimension")
         packed, counts, _ = self._packed_transrows_cached(weight, weight_bits)
         packed.setflags(write=False)  # shared with the LRU cache; never written
-        plan = GemmPlan(
+        start = time.perf_counter()
+        weight_f64 = weight.astype(np.float64)
+        weight_f64.setflags(write=False)
+        row_bound = _row_bound(weight)
+        return GemmPlan(
             weight=weight,
             weight_bits=weight_bits,
             transrow_bits=self.transrow_bits,
             max_distance=self.max_distance,
             packed=packed,
             op_counts=counts,
+            weight_f64=weight_f64,
+            row_bound=row_bound,
+            kernel_build_s=time.perf_counter() - start,
         )
-        should_lower = self.lower_plans if lower is None else lower
-        if not should_lower:
-            return plan
-        kernel = self._lowered_kernel_cached(plan, kernel_backend)
-        return dataclasses.replace(plan, kernel=kernel)
-
-    def _lowered_kernel_cached(
-        self, plan: GemmPlan, kernel_backend: Optional[str]
-    ) -> "LoweredKernel":
-        """Lower ``plan``, serving repeats from the lowered-kernel LRU.
-
-        The cache key extends the scoreboard key with the *effective* backend
-        request (explicit name, environment override, or ``auto``), so a hit
-        can never hand back a kernel compiled by a different backend than the
-        caller would get fresh.
-        """
-        # Imported lazily: repro.kernels consumes GemmPlan, so a module-level
-        # import here would be circular.
-        import os
-
-        from ..kernels import KERNEL_BACKEND_ENV, lower_plan
-
-        requested = kernel_backend or self.kernel_backend
-        effective = requested or os.environ.get(KERNEL_BACKEND_ENV) or "auto"
-        use_cache = self._kernel_cache.max_entries > 0
-        key: Optional[tuple] = None
-        if use_cache:
-            key = self._kernel_cache.key(
-                plan.weight, plan.weight_bits, self.transrow_bits, self.max_distance
-            ) + (effective,)
-            entry = self._kernel_cache.get(key)
-            if entry is not None:
-                return entry[0]
-        kernel = lower_plan(
-            plan,
-            backend=requested,
-            interpreter=lambda act: self._interpret_planned(
-                plan, np.asarray(act, dtype=np.int64)
-            ),
-        )
-        if use_cache and key is not None:
-            self._kernel_cache.put(key, (kernel,))
-        return kernel
 
     def multiply_planned(
-        self,
-        plan: GemmPlan,
-        activation: np.ndarray,
-        lowered: Optional[bool] = None,
+        self, plan: GemmPlan, activation: np.ndarray
     ) -> TransitiveGemmReport:
         """Compute ``plan.weight @ activation`` from the precompiled plan.
 
         The per-request hot path of the serving runtime: no hashing, no
-        bit-slicing, no scoreboarding.  With a lowered kernel attached (the
-        default compilation mode) the whole call is one flat dense/sparse
-        matmul; otherwise the batched gather/accumulate stages interpret the
-        packed TransRows.  ``lowered`` forces the choice: ``True`` requires a
-        kernel, ``False`` interprets even when a kernel is attached (the
-        benchmarks time both).  Bit-identical to :meth:`multiply` on the same
-        operands either way.
+        bit-slicing, no scoreboarding, just :func:`exact_matmul`.
+        Bit-identical to :meth:`multiply` on the same operands.
         """
         self._check_plan(plan)
         activation = np.asarray(activation, dtype=np.int64)
@@ -455,23 +423,15 @@ class TransitiveGemmEngine:
                 f"shape mismatch: plan weight {plan.weight.shape} x "
                 f"activation {activation.shape}"
             )
-        use_kernel = (plan.kernel is not None) if lowered is None else bool(lowered)
-        if use_kernel:
-            if plan.kernel is None:
-                raise SimulationError(
-                    "lowered execution was requested but the plan carries no "
-                    "kernel; compile it with plan(..., lower=True)"
-                )
-            output = plan.kernel.execute(activation)
-            return TransitiveGemmReport(output=output, op_counts=plan.op_counts)
-        output = self._interpret_planned(plan, activation)
-        return TransitiveGemmReport(output=output, op_counts=plan.op_counts)
+        return TransitiveGemmReport(
+            output=exact_matmul(plan, activation), op_counts=plan.op_counts
+        )
 
     def _interpret_planned(self, plan: GemmPlan, activation: np.ndarray) -> np.ndarray:
         """Interpreted planned execution: batched gather/accumulate stages.
 
-        The pre-lowering hot path, retained as the ``reference`` kernel
-        backend and the ``lowered=False`` escape hatch.
+        The fast path's prefix-reuse walk over the plan's packed TransRows,
+        kept as the baseline the planned-path benchmark times.
         """
         width = self.transrow_bits
         num_chunks = plan.packed.shape[0]
@@ -487,13 +447,11 @@ class TransitiveGemmEngine:
         self,
         plan: GemmPlan,
         activations: Sequence[np.ndarray],
-        lowered: Optional[bool] = None,
     ) -> BatchedGemmReport:
         """Serve a micro-batch of activations in one engine pass.
 
         The activations are concatenated along their column axis, executed as
-        a single planned GEMM (lowered kernel by default, see
-        :meth:`multiply_planned`) and split back, so each output equals
+        a single planned GEMM (see :meth:`multiply_planned`) and split back, so each output equals
         ``plan.weight @ activations[i]`` bit-exactly while the weight-side
         work is spent once for the whole batch.
         """

@@ -36,15 +36,6 @@ class WorkloadError(ReproError):
     """Raised when a workload descriptor is malformed or unknown."""
 
 
-class KernelLoweringError(ReproError):
-    """Raised when a compiled plan cannot be lowered to a flat kernel.
-
-    Covers unknown or unavailable backends (e.g. ``csr-scipy`` requested with
-    scipy missing), malformed scatter/gather tables, and executing a kernel
-    against an activation it was not lowered for.
-    """
-
-
 class ServingError(ReproError):
     """Raised when the serving runtime is misused or a request fails."""
 

@@ -5,10 +5,10 @@ scoreboard* was designed for: compile once, serve forever.
 
 * :mod:`repro.serving.plan` — offline compilation of any
   :class:`~repro.workloads.gemm.GemmWorkload` into a :class:`ModelPlan`
-  (per-layer weights bit-sliced, scoreboarded and lowered to flat
-  :mod:`repro.kernels` executors once — optionally per-layer mixed
-  precision via ``quant_schemes=`` — with :class:`CompileStats` recording
-  what that cost);
+  (per-layer weights bit-sliced and scoreboarded once, with a float64 copy
+  and row bound pinned for the exact-BLAS product — optionally per-layer
+  mixed precision via ``quant_schemes=`` — with :class:`CompileStats`
+  recording what that cost);
 * :mod:`repro.serving.graph` — the :class:`ModelGraph` of declared
   inter-layer dataflow that turns a bag of compiled layers into a servable
   pipeline (``graph="chain"`` at compile time for the common case);
@@ -23,7 +23,8 @@ scoreboard* was designed for: compile once, serve forever.
   micro-batching of pipelined requests comes through the same path);
 * :mod:`repro.serving.server` — the supervised :class:`Server` with two
   execution tiers (``"threads"`` and the GIL-free ``"processes"``), worker
-  restarts, :meth:`Server.health` and drain/abort shutdown;
+  restarts, :meth:`Server.health` and drain/abort shutdown; ``start()`` pins
+  BLAS to one thread per worker;
 * :mod:`repro.serving.shm` / :mod:`repro.serving.process_pool` — the
   process-sharded tier: shared-memory activation/result rings
   (:class:`ShmRing`) and the :class:`ProcessWorkerPool` of plan-replica

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,26 +42,18 @@ class CompileStats:
 
     Aggregated over every compiled layer at :func:`compile_workload` time and
     carried on the plan; the serving report embeds them so an operator can see
-    what the offline phase cost and which kernel backends serve the model.
+    what the offline phase cost and how much kernel state it pinned.
     """
 
     #: Compiled layer count.
     num_layers: int
-    #: Total wall-clock seconds of offline compilation (plan + lowering).
+    #: Total wall-clock seconds of offline compilation (plan + kernel build).
     compile_s: float
-    #: Seconds of ``compile_s`` spent lowering plans into flat kernels.
+    #: Seconds of ``compile_s`` spent building the layers' float64 weights and
+    #: row bounds; the name stays so existing readers of the stats keep it.
     lowering_s: float
-    #: Bytes of compiled kernel state pinned across all layers.
+    #: Bytes of float64 kernel weights pinned across all layers.
     kernel_bytes: int
-    #: Referenced gather slots summed across all lowered layers.
-    kernel_slots: int
-    #: Dense-lattice slot capacity summed across all lowered layers.
-    kernel_dense_slots: int
-    #: Scatter-stage entries summed across all lowered layers.
-    kernel_scatter_entries: int
-    #: Sorted distinct backend names serving the model's layers (empty when
-    #: compilation skipped lowering).
-    kernel_backends: Tuple[str, ...]
     #: Per-layer compile seconds, in compilation order.
     per_layer_compile_s: Dict[str, float]
     #: Per-layer effective weight bit widths, in compilation order.  With a
@@ -80,10 +72,6 @@ class CompileStats:
             "compile_s": self.compile_s,
             "lowering_s": self.lowering_s,
             "kernel_bytes": self.kernel_bytes,
-            "kernel_slots": self.kernel_slots,
-            "kernel_dense_slots": self.kernel_dense_slots,
-            "kernel_scatter_entries": self.kernel_scatter_entries,
-            "kernel_backends": list(self.kernel_backends),
             "per_layer_compile_s": dict(self.per_layer_compile_s),
             "per_layer_bits": dict(self.per_layer_bits),
             "per_layer_scheme": dict(self.per_layer_scheme),
@@ -162,11 +150,10 @@ class ModelPlan:
         """Spawn-safe pickled form of a compiled plan.
 
         Drops the lazily-built scalar oracle and its lock (both per-process
-        concerns); the engine pickles as configuration only (caches rebuilt
-        empty) and every layer's :class:`~repro.kernels.LoweredKernel` pickles
-        without its compiled closure, recompiling lazily on first use.  The
-        process-sharded serving tier ships exactly this state to each worker
-        process as its plan replica.
+        concerns); the engine pickles as configuration only (cache rebuilt
+        empty) and every layer's :class:`~repro.core.GemmPlan` pickles as plain
+        arrays.  The process-sharded serving tier ships exactly this state to
+        each worker process as its plan replica.
         """
         state = self.__dict__.copy()
         state["_oracle"] = None
@@ -248,8 +235,8 @@ class ModelPlan:
         """Execute one activation against a compiled layer.
 
         Bit-identical to ``layer.weight @ activation``; the per-call work is
-        only the gather/accumulate stages — the static scoreboard was paid at
-        compile time.
+        only the exact product — the static scoreboard was paid at compile
+        time.
         """
         layer = self.layer(layer_name)
         report = self.engine.multiply_planned(layer.gemm_plan, activation)
@@ -292,12 +279,12 @@ class ModelPlan:
 
         The serving fault-tolerance fallback: when a fast-path micro-batch
         keeps failing, the server re-runs each member alone through the
-        scalar reference implementation (``fast=False``, no lowered kernels,
-        no shared caches) — the slowest but most independent execution path
-        in the repo, and bit-identical to the fast path by the engine's core
+        scalar reference implementation (``fast=False``, no BLAS product, no
+        shared caches) — the slowest but most independent execution path in
+        the repo, and bit-identical to the fast path by the engine's core
         invariant.  A batch-poisoning request then fails alone instead of
-        failing its whole micro-batch, and a (hypothetically) miscompiled
-        kernel cannot poison the fallback.
+        failing its whole micro-batch, and a (hypothetically) faulty kernel
+        cannot poison the fallback.
         """
         layer = self.layer(layer_name)
         report = self._scalar_oracle().multiply(
@@ -315,7 +302,6 @@ class ModelPlan:
                     num_lanes=self.engine.num_lanes,
                     fast=False,
                     scoreboard_cache_entries=0,
-                    lower_plans=False,
                 )
             return self._oracle
 
@@ -337,7 +323,6 @@ def compile_workload(
     layer_names: Optional[Sequence[str]] = None,
     accelerator: Optional[TransitiveArrayAccelerator] = None,
     seed: int = 2025,
-    kernel_backend: Optional[str] = None,
     graph: Union[ModelGraph, str, None] = None,
     quant_schemes: Optional[Mapping[str, str]] = None,
 ) -> ModelPlan:
@@ -367,10 +352,6 @@ def compile_workload(
         model so the server can attribute per-request costs.
     seed:
         RNG seed for synthetic weight sampling.
-    kernel_backend:
-        Explicit kernel backend name for every layer's lowering (defaults to
-        the engine setting / ``REPRO_KERNEL_BACKEND`` / autoselection; see
-        :mod:`repro.kernels`).
     graph:
         Inter-layer dataflow for whole-model serving: an explicit
         :class:`~repro.serving.graph.ModelGraph`, or the string ``"chain"``
@@ -462,28 +443,17 @@ def compile_workload(
                 weight = workload.sample_weight(shape, rng)
         per_layer_bits[shape.name] = shape.weight_bits
         layer_start = time.perf_counter()
-        gemm_plan = engine.plan(
-            weight, shape.weight_bits, kernel_backend=kernel_backend
-        )
+        gemm_plan = engine.plan(weight, shape.weight_bits)
         per_layer_compile_s[shape.name] = time.perf_counter() - layer_start
         profile = accelerator.simulate_gemm(shape) if accelerator is not None else None
         layers.append(
             LayerPlan(shape=shape, gemm_plan=gemm_plan, profile=profile)
         )
-    kernels = [
-        layer.gemm_plan.kernel
-        for layer in layers
-        if layer.gemm_plan.kernel is not None
-    ]
     stats = CompileStats(
         num_layers=len(layers),
         compile_s=time.perf_counter() - compile_start,
-        lowering_s=sum(k.lowering_s for k in kernels),
-        kernel_bytes=sum(k.kernel_bytes for k in kernels),
-        kernel_slots=sum(k.num_slots for k in kernels),
-        kernel_dense_slots=sum(k.dense_slots for k in kernels),
-        kernel_scatter_entries=sum(k.scatter_entries for k in kernels),
-        kernel_backends=tuple(sorted({k.backend for k in kernels})),
+        lowering_s=sum(layer.gemm_plan.kernel_build_s for layer in layers),
+        kernel_bytes=sum(layer.gemm_plan.weight_f64.nbytes for layer in layers),
         per_layer_compile_s=per_layer_compile_s,
         per_layer_bits=per_layer_bits,
         per_layer_scheme=per_layer_scheme,

@@ -3,8 +3,7 @@
 Threads cannot scale Python compute past the GIL, so the
 :class:`~repro.serving.server.Server` grows an ``execution="processes"``
 mode backed by this pool: each **shard** is one worker process holding its
-own unpickled :class:`~repro.serving.ModelPlan` replica (kernel executors
-rebuilt lazily in the child — see :mod:`repro.kernels`), fed through a
+own unpickled :class:`~repro.serving.ModelPlan` replica, fed through a
 :class:`~repro.serving.shm.ShmRing` so activation and result payloads cross
 the process boundary through shared memory, never through pickle.
 
@@ -444,8 +443,8 @@ def _shard_main(
     parent's crash detection and orphan handling get exercised for real.
     """
     plan: ModelPlan = pickle.loads(plan_blob)
-    # Prewarm every layer once: kernel executors recompile lazily after
-    # unpickling, and that belongs to shard startup (supervised, off the hot
+    # Prewarm every layer once: BLAS initialisation and paging in the
+    # unpickled weights belong to shard startup (supervised, off the hot
     # path), not to the first unlucky batch.
     for layer_name in plan.layer_names():
         shape = plan.layer(layer_name).shape

@@ -148,8 +148,8 @@ class ServingReport:
     scoreboard_cache: Optional[ScoreboardCacheInfo] = None
     attributed_cycles: Optional[int] = None
     attributed_energy: Optional[EnergyBreakdown] = None
-    #: Offline-compilation statistics of the served plan (kernel backends,
-    #: lowering time, compiled bytes); ``None`` for pre-kernel plans.
+    #: Offline-compilation statistics of the served plan (compile and
+    #: kernel-build time, kernel bytes); ``None`` for plans built without them.
     compile_stats: Optional[CompileStats] = None
     #: Execution tier the run used: ``"threads"`` or ``"processes"``.
     execution: str = "threads"

@@ -97,8 +97,8 @@ import numpy as np
 
 from ..energy.breakdown import EnergyBreakdown
 from ..errors import ServingError, ShedError, WorkerCrashError
-from ..transarray.accelerator import RequestAttribution
 from .batcher import BatchExecution, MicroBatcher
+from .blas import pin_blas_threads
 from .faults import FaultInjector
 from .graph import ModelGraph
 from .model_request import ModelRequest, SubmitOptions
@@ -141,7 +141,6 @@ class _RequestRecord:
     queue_delay_s: float
     retries: int
     degraded: bool
-    attribution: Optional[RequestAttribution]
     priority: int = 0
     #: Completed (state ``done``) inside its deadline budget (trivially true
     #: for completions without a deadline) — the goodput numerator.
@@ -380,6 +379,9 @@ class Server:
         self._closed = False
         self._next_id = 0
         self._records: List[_RequestRecord] = []
+        # Running cycle/energy totals of completed requests' attributions.
+        self._attributed_cycles: Optional[int] = None
+        self._attributed_energy: Optional[EnergyBreakdown] = None
         self._batches: List[BatchExecution] = []
         self._model_records: List[_ModelRecord] = []
         self._implicit_graph: Optional[ModelGraph] = None
@@ -407,6 +409,9 @@ class Server:
             if self._started:
                 return self
             self._started = True
+            # The workers supply the parallelism; a multi-threaded BLAS under
+            # each of them would oversubscribe the cores.
+            pin_blas_threads()
             # Process tier: bring every shard up before the first request can
             # be admitted, so submit latency never pays a process spawn.
             if self._pool is not None:
@@ -536,7 +541,7 @@ class Server:
                 self._force_aborted += len(forced) + len(leftovers)
         stragglers = aborted + forced + leftovers + self.queue.take_shed()
         if stragglers:
-            self._finish([], [self._record(request) for request in stragglers])
+            self._finish([], stragglers)
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -918,11 +923,14 @@ class Server:
             request_id = self._next_id
             self._next_id += 1
             self._served_model_requests = True
-        model_request, stage0 = self._build_model_request(
-            request_id, graph, activation, time.perf_counter(), deadline_s,
-            steps, qos,
+        now = time.perf_counter()
+        # Shed before building: a shed submit never materialises its requests.
+        self._admission_shed_check(
+            graph.stages[0].layer, deadline_at(now, deadline_s), qos
         )
-        self._admission_shed_check(stage0.layer, stage0.deadline_at, qos)
+        model_request, stage0 = self._build_model_request(
+            request_id, graph, activation, now, deadline_s, steps, qos,
+        )
         self.queue.put(stage0)  # may raise BackpressureError
         return model_request
 
@@ -947,6 +955,10 @@ class Server:
             self._next_id += len(activations)
             self._served_model_requests = True
         submitted_at = time.perf_counter()
+        self._admission_shed_check(
+            graph.stages[0].layer, deadline_at(submitted_at, deadline_s), qos,
+            count=len(activations),
+        )
         pairs = [
             self._build_model_request(
                 first_id + offset, graph, activation, submitted_at,
@@ -954,9 +966,6 @@ class Server:
             )
             for offset, activation in enumerate(activations)
         ]
-        self._admission_shed_check(
-            pairs[0][1].layer, pairs[0][1].deadline_at, qos, count=len(pairs)
-        )
         self.queue.put_many([stage0 for _, stage0 in pairs])
         return [model_request for model_request, _ in pairs]
 
@@ -1222,8 +1231,7 @@ class Server:
             slot.requests += len(claimed)
             slot.compute_s += compute_s
             slot.dispatch_s += max(busy_s - compute_s, 0.0)
-        records = [self._record(request) for request in batch]
-        self._finish([execution] if execution is not None else [], records)
+        self._finish([execution] if execution is not None else [], batch)
 
     def _execute_claimed(
         self, slot: _WorkerSlot, claimed: List[Request]
@@ -1357,7 +1365,7 @@ class Server:
     def _collect_shed(self) -> None:
         shed = self.queue.take_shed()
         if shed:
-            self._finish([], [self._record(request) for request in shed])
+            self._finish([], shed)
 
     def _report_crash(self, slot: _WorkerSlot, error: BaseException) -> None:
         """Worker-death path: salvage in-flight work, then wake the supervisor."""
@@ -1408,11 +1416,27 @@ class Server:
 
     # ------------------------------------------------------------ accounting
     def _finish(
-        self, executions: List[BatchExecution], records: List[_RequestRecord]
+        self, executions: List[BatchExecution], requests: List[Request]
     ) -> None:
+        """Account finished requests: keep scalar records, and add completed
+        requests' attributions to running totals instead of keeping them."""
+        records = [self._record(request) for request in requests]
+        attributions = [
+            request.attribution
+            for request, record in zip(requests, records)
+            if record.state == DONE and request.attribution is not None
+        ]
         with self._lock:
             self._batches.extend(executions)
             self._records.extend(records)
+            for attribution in attributions:
+                if self._attributed_cycles is None:
+                    self._attributed_cycles = 0
+                    self._attributed_energy = EnergyBreakdown()
+                self._attributed_cycles += attribution.cycles
+                self._attributed_energy = self._attributed_energy.merge(
+                    attribution.energy
+                )
             for record in records:
                 if record.state == EXPIRED:
                     self._expired += 1
@@ -1444,7 +1468,6 @@ class Server:
             ),
             retries=request.retries,
             degraded=request.degraded,
-            attribution=request.attribution,
             priority=request.priority,
             deadline_met=(
                 request.state == DONE
@@ -1541,6 +1564,8 @@ class Server:
             admission_sheds = self._admission_sheds
             plan_swaps = self._plan_swaps
             force_aborted = self._force_aborted
+            attributed_cycles = self._attributed_cycles
+            attributed_energy = self._attributed_energy
         done = [record for record in records if record.state == DONE]
         failed = sum(1 for record in records if record.state == FAILED)
         expired = sum(1 for record in records if record.state == EXPIRED)
@@ -1570,17 +1595,6 @@ class Server:
                 if op_counts is None
                 else op_counts.merge(execution.op_counts)
             )
-
-        attributed_cycles: Optional[int] = None
-        attributed_energy: Optional[EnergyBreakdown] = None
-        attributions = [
-            record.attribution for record in done if record.attribution is not None
-        ]
-        if attributions:
-            attributed_cycles = sum(attribution.cycles for attribution in attributions)
-            attributed_energy = EnergyBreakdown()
-            for attribution in attributions:
-                attributed_energy = attributed_energy.merge(attribution.energy)
 
         # Per-run plan-cache accounting: every successful batch reused a
         # precompiled scoreboard (hit); the misses are the offline scoreboard

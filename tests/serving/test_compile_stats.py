@@ -1,9 +1,10 @@
 """Serving-side kernel plumbing: compile stats, reports, degraded bypass."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.core import TransitiveGemmEngine
 from repro.serving import CompileStats, Server, compile_workload
 from repro.workloads import synthetic_gemm_workload
 
@@ -23,39 +24,27 @@ class TestCompileStats:
         assert stats.num_layers == 2
         assert stats.compile_s > 0.0
         assert 0.0 <= stats.lowering_s <= stats.compile_s
-        assert stats.kernel_bytes > 0
-        assert stats.kernel_slots > 0
-        assert stats.kernel_backends  # every layer lowered through a backend
+        # Two 24x20 layers of float64 kernel weights.
+        assert stats.kernel_bytes == 2 * 24 * 20 * 8
         assert set(stats.per_layer_compile_s) == {"layer0", "layer1"}
 
-    def test_every_layer_carries_a_lowered_kernel(self):
+    def test_every_layer_carries_kernel_state(self):
         plan = compile_workload(_workload())
         for name in plan.layer_names():
-            kernel = plan.layer(name).gemm_plan.kernel
-            assert kernel is not None
-            assert kernel.backend in plan.compile_stats.kernel_backends
-
-    def test_explicit_backend_reaches_every_layer(self):
-        plan = compile_workload(_workload(), kernel_backend="reference")
-        assert plan.compile_stats.kernel_backends == ("reference",)
-
-    def test_unlowered_compilation_reports_no_backends(self):
-        engine = TransitiveGemmEngine(transrow_bits=8, lower_plans=False)
-        plan = compile_workload(_workload(), engine=engine)
-        stats = plan.compile_stats
-        assert stats.kernel_backends == ()
-        assert stats.kernel_bytes == 0
-        assert stats.lowering_s == 0.0
+            gemm_plan = plan.layer(name).gemm_plan
+            assert gemm_plan.weight_f64.dtype == np.float64
+            assert not gemm_plan.weight_f64.flags.writeable
+            assert np.array_equal(gemm_plan.weight_f64, gemm_plan.weight)
+            expected = int(np.abs(gemm_plan.weight).sum(axis=1).max())
+            assert gemm_plan.row_bound == expected
+            assert isinstance(gemm_plan.row_bound, int)
 
     def test_as_dict_round_trips_the_bench_schema(self):
         stats = compile_workload(_workload()).compile_stats.as_dict()
         assert set(stats) == {
             "num_layers", "compile_s", "lowering_s", "kernel_bytes",
-            "kernel_slots", "kernel_dense_slots", "kernel_scatter_entries",
-            "kernel_backends", "per_layer_compile_s", "per_layer_bits",
-            "per_layer_scheme",
+            "per_layer_compile_s", "per_layer_bits", "per_layer_scheme",
         }
-        assert isinstance(stats["kernel_backends"], list)
 
 
 class TestServingReport:
@@ -77,43 +66,44 @@ class TestServingReport:
         summary = report.as_dict()
         assert summary["compile_stats"]["num_layers"] == 1
         rendered = report.render()
-        assert "kernel backends" in rendered
+        assert "kernel weights" in rendered
         assert "offline compile" in rendered
 
-    def test_lowered_and_oracle_serving_agree(self):
+    def test_kernel_and_oracle_serving_agree(self):
         plan = compile_workload(_workload(num_layers=1))
         rng = np.random.default_rng(1)
         act = rng.integers(-8, 8, size=(20, 3), dtype=np.int64)
-        lowered = plan.run("layer0", act)
+        served = plan.run("layer0", act)
         degraded = plan.run_degraded("layer0", act)
-        assert np.array_equal(lowered, degraded)
-        assert np.array_equal(lowered, plan.layer("layer0").weight @ act)
+        assert np.array_equal(served, degraded)
+        assert np.array_equal(served, plan.layer("layer0").weight @ act)
+
+
+#: The engine module itself: the package attribute of the same name is the
+#: ``transitive_gemm`` convenience function.
+ENGINE_MODULE = importlib.import_module("repro.core.transitive_gemm")
 
 
 class TestDegradedBypass:
-    def test_degraded_fallback_never_touches_the_kernel(self):
-        # Booby-trap every lowered kernel: if the degraded path executed one,
-        # it would blow up — the oracle must stay fully independent.
+    def test_degraded_fallback_never_touches_the_kernel(self, monkeypatch):
+        # Booby-trap the kernel: if the degraded path executed it, it would
+        # blow up — the oracle must stay fully independent.
         plan = compile_workload(_workload(num_layers=1))
         layer = plan.layer("layer0")
-        assert layer.gemm_plan.kernel is not None
 
-        def boom(activation):
-            raise AssertionError("degraded path executed a lowered kernel")
+        def boom(gemm_plan, activation):
+            raise AssertionError("degraded path executed the kernel")
 
-        original = layer.gemm_plan.kernel._execute
-        layer.gemm_plan.kernel._execute = boom
-        try:
-            rng = np.random.default_rng(2)
-            act = rng.integers(-8, 8, size=(20, 2), dtype=np.int64)
-            output = plan.run_degraded("layer0", act)
-            assert np.array_equal(output, layer.weight @ act)
-            with pytest.raises(AssertionError):
-                plan.run("layer0", act)  # the fast path *does* use the kernel
-        finally:
-            layer.gemm_plan.kernel._execute = original
+        monkeypatch.setattr(ENGINE_MODULE, "exact_matmul", boom)
+        rng = np.random.default_rng(2)
+        act = rng.integers(-8, 8, size=(20, 2), dtype=np.int64)
+        output = plan.run_degraded("layer0", act)
+        assert np.array_equal(output, layer.weight @ act)
+        with pytest.raises(AssertionError):
+            plan.run("layer0", act)  # the fast path *does* use the kernel
 
-    def test_scalar_oracle_engine_does_not_lower(self):
+    def test_scalar_oracle_engine_is_the_scalar_path(self):
         plan = compile_workload(_workload(num_layers=1))
         oracle = plan._scalar_oracle()
-        assert oracle.lower_plans is False
+        assert oracle.fast is False
+        assert oracle.scoreboard_cache_info().max_entries == 0

@@ -453,6 +453,29 @@ class TestServerOverload:
         assert report.num_requests == 8
         assert report.num_shed == 0  # everything admitted completed
 
+    def test_shed_submit_builds_no_request(self, monkeypatch):
+        class ShedEverything(AdmissionController):
+            def admission_check(self, layer, deadline_at_, priority, now,
+                                depth, capacity):
+                seen.append((layer, deadline_at_ - now))
+                return ShedError("shed for the test", retry_after_s=0.01)
+
+        def build(*args, **kwargs):
+            raise AssertionError("a shed submit built its request")
+
+        seen = []
+        server = Server(_plan(), num_workers=1, admission_control=ShedEverything())
+        monkeypatch.setattr(server, "_build_model_request", build)
+        act = _acts(1)[0]
+        with server:
+            with pytest.raises(ShedError):
+                server.submit(act, deadline_s=5.0)
+            with pytest.raises(ShedError):
+                server.submit_many(activations=[act, act], deadline_s=5.0)
+        assert [layer for layer, _ in seen] == [LAYER, LAYER]
+        assert all(4.0 < budget <= 5.0 for _, budget in seen)
+        assert server.health().num_admission_shed == 3
+
     def test_interactive_overtakes_queued_bulk(self):
         plan = _plan()
         server = Server(plan, num_workers=1, max_batch=1, max_pending=16)

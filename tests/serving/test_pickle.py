@@ -1,10 +1,9 @@
-"""Spawn-safe pickling of compiled plans, kernels, engines and injectors.
+"""Spawn-safe pickling of compiled plans, engines and injectors.
 
 The process-sharded serving tier ships a :class:`~repro.serving.ModelPlan`
 replica to every worker process through ``pickle`` under the ``spawn`` start
-method, so the pickled state must carry no locks, no compiled closures and no
-lambdas — and the unpickled replica must serve bit-identically, rebuilding
-its kernel executors lazily in the receiving process.
+method, so the pickled state must carry no locks, no closures and no
+lambdas — and the unpickled replica must serve bit-identically.
 """
 
 import pickle
@@ -14,39 +13,29 @@ import pytest
 
 from repro.core.transitive_gemm import TransitiveGemmEngine
 from repro.errors import ServingError
-from repro.serving import FaultInjector, FaultPlan, compile_workload
+from repro.serving import FaultInjector, FaultPlan, Server, compile_workload
 from repro.workloads import synthetic_gemm_workload
 
 
-def _plan(num_layers: int = 2, lower: bool = True):
+def _plan(num_layers: int = 2):
     workload = synthetic_gemm_workload(
         num_layers=num_layers, n=24, k=20, m=3, weight_bits=4
     )
-    engine = None
-    if not lower:
-        engine = TransitiveGemmEngine(
-            transrow_bits=8, fast=True, scoreboard_cache_entries=4,
-            lower_plans=False,
-        )
-    return compile_workload(workload, engine=engine, seed=3)
+    return compile_workload(workload, seed=3)
 
 
 class TestEnginePickle:
     def test_round_trip_preserves_configuration(self):
         engine = TransitiveGemmEngine(
             transrow_bits=4, max_distance=3, num_lanes=2, fast=True,
-            scoreboard_cache_entries=7, lower_plans=False,
-            kernel_backend="dense-numpy", kernel_cache_entries=5,
+            scoreboard_cache_entries=7,
         )
         clone = pickle.loads(pickle.dumps(engine))
         assert clone.transrow_bits == 4
         assert clone.max_distance == 3
         assert clone.num_lanes == 2
         assert clone.fast is True
-        assert clone.lower_plans is False
-        assert clone.kernel_backend == "dense-numpy"
         assert clone._cache.max_entries == 7
-        assert clone._kernel_cache.max_entries == 5
 
     def test_caches_are_rebuilt_empty(self):
         engine = TransitiveGemmEngine(transrow_bits=8, scoreboard_cache_entries=4)
@@ -57,7 +46,6 @@ class TestEnginePickle:
         clone = pickle.loads(pickle.dumps(engine))
         info = clone.scoreboard_cache_info()
         assert info.entries == 0 and info.hits == 0 and info.misses == 0
-        assert clone.kernel_cache_info().entries == 0
 
     def test_unpickled_engine_multiplies_bit_identically(self):
         engine = TransitiveGemmEngine(transrow_bits=8)
@@ -66,29 +54,6 @@ class TestEnginePickle:
         weight = rng.integers(-8, 8, size=(12, 20), dtype=np.int64)
         act = rng.integers(-64, 64, size=(20, 5), dtype=np.int64)
         assert np.array_equal(clone.multiply(weight, act, 4).output, weight @ act)
-
-
-class TestLoweredKernelPickle:
-    def test_executor_is_dropped_and_rebuilt_lazily(self):
-        plan = _plan(num_layers=1)
-        layer = plan.layer("layer0")
-        kernel = layer.gemm_plan.kernel
-        assert kernel is not None and kernel._execute is not None
-        clone = pickle.loads(pickle.dumps(kernel))
-        # Lazy: nothing recompiled until the first execute().
-        assert clone._execute is None
-        rng = np.random.default_rng(2)
-        act = rng.integers(-64, 64, size=(layer.shape.k, 4), dtype=np.int64)
-        assert np.array_equal(clone.execute(act), layer.weight @ act)
-        assert clone._execute is not None  # recompiled exactly once
-        assert clone.backend == kernel.backend
-
-    def test_pickled_state_contains_no_closure(self):
-        plan = _plan(num_layers=1)
-        kernel = plan.layer("layer0").gemm_plan.kernel
-        state = kernel.__getstate__()
-        assert state["_execute"] is None
-        assert "_rebuild_lock" not in state
 
 
 class TestModelPlanPickle:
@@ -115,24 +80,30 @@ class TestModelPlanPickle:
             clone.run_degraded("layer0", act), layer.weight @ act
         )
 
-    def test_unlowered_plan_round_trips_without_growing_kernels(self):
-        plan = _plan(num_layers=1, lower=False)
-        clone = pickle.loads(pickle.dumps(plan))
-        layer = clone.layer("layer0")
-        assert layer.gemm_plan.kernel is None  # lower=False is preserved
-        act = np.ones((layer.shape.k, 2), dtype=np.int64)
-        assert np.array_equal(clone.run("layer0", act), layer.weight @ act)
-
-    def test_pickle_shares_weight_arrays_between_plan_and_kernel_source(self):
-        # The kernel retains its pre-lowering source plan; pickle's memo must
-        # serialise the shared weight/packed arrays once, not twice.
+    def test_kernel_state_survives_the_round_trip(self):
         plan = _plan(num_layers=1)
         gemm_plan = plan.layer("layer0").gemm_plan
-        assert gemm_plan.kernel._source.weight is gemm_plan.weight
-        assert gemm_plan.kernel._source.packed is gemm_plan.packed
-        blob = pickle.dumps(plan)
-        solo = pickle.dumps(gemm_plan.weight) + pickle.dumps(gemm_plan.packed)
-        assert len(blob) < 2 * len(solo)
+        clone = pickle.loads(pickle.dumps(plan)).layer("layer0").gemm_plan
+        assert clone.row_bound == gemm_plan.row_bound
+        assert np.array_equal(clone.weight_f64, gemm_plan.weight_f64)
+        assert clone.op_counts == gemm_plan.op_counts
+
+    def test_pickled_plan_serves_bit_identically_in_a_spawned_shard(self):
+        plan = _plan(num_layers=1)
+        rng = np.random.default_rng(6)
+        # Peaks on both sides of the float64 bound exercise both float tiers.
+        acts = [
+            rng.integers(-peak, peak, size=(20, 2), dtype=np.int64)
+            for peak in (64, 2**40, 2**52)
+        ]
+        weight = plan.layer("layer0").weight.astype(object)
+        with Server(plan, num_workers=1, execution="processes") as server:
+            handles = server.submit_many(activations=acts)
+            outputs = [handle.result(timeout=60.0) for handle in handles]
+        for act, output in zip(acts, outputs):
+            assert np.array_equal(
+                output.astype(object), weight @ act.astype(object)
+            )
 
     def test_compile_stats_and_attribution_metadata_survive(self):
         plan = _plan(num_layers=2)

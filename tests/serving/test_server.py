@@ -94,6 +94,15 @@ class TestServerLifecycle:
         assert report.attributed_cycles is not None and report.attributed_cycles > 0
         assert report.attributed_energy is not None
         assert report.attributed_energy.total_nj > 0
+        # The report's totals are the sum of the per-request attributions.
+        expected = [
+            plan.attribute(layers[index], activations[index].shape[1])
+            for index in range(32)
+        ]
+        assert report.attributed_cycles == sum(a.cycles for a in expected)
+        assert report.attributed_energy.total_nj == pytest.approx(
+            sum(a.energy.total_nj for a in expected)
+        )
         assert report.render()  # table renders without error
         assert report.as_dict()["num_requests"] == 32
 
