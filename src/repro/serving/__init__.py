@@ -14,21 +14,17 @@ scoreboard* was designed for: compile once, serve forever.
   pipeline (``graph="chain"`` at compile time for the common case);
 * :mod:`repro.serving.request` / :mod:`repro.serving.queue` — future-style
   requests and the bounded admission-controlled queue;
-* :mod:`repro.serving.model_request` — the model-level client surface:
+* :mod:`repro.serving.model_request` — the client surface:
   :class:`SubmitOptions` and the :class:`ModelRequest` handle returned by
-  ``Server.submit(activation=...)`` (single forward pass or ``stream=N``
+  ``Server.submit(activation)`` (single forward pass or ``stream=N``
   autoregressive decode steps);
 * :mod:`repro.serving.batcher` — the dynamic micro-batcher coalescing
   same-layer activations into single engine passes (per-stage
   micro-batching of pipelined requests comes through the same path);
-* :mod:`repro.serving.server` — the supervised :class:`Server` with two
-  execution tiers (``"threads"`` and the GIL-free ``"processes"``), worker
+* :mod:`repro.serving.server` — the supervised :class:`Server`: worker
+  threads running the exact BLAS product (it releases the GIL), worker
   restarts, :meth:`Server.health` and drain/abort shutdown; ``start()`` pins
-  BLAS to one thread per worker;
-* :mod:`repro.serving.shm` / :mod:`repro.serving.process_pool` — the
-  process-sharded tier: shared-memory activation/result rings
-  (:class:`ShmRing`) and the :class:`ProcessWorkerPool` of plan-replica
-  worker processes;
+  BLAS to one thread per worker (:mod:`repro.serving.blas`);
 * :mod:`repro.serving.policy` — per-request deadlines, the
   :class:`RetryPolicy` applied around batch execution, and the
   overload-resilience pieces: the :class:`AdmissionController` behind
@@ -59,9 +55,7 @@ from .policy import (
 )
 from .faults import ArrivalSchedule, FaultInjector, FaultPlan, FaultStats
 from .report import ServingReport, ShardStats, StageStats, build_report, percentile
-from .server import EXECUTION_MODES, Server, ServerHealth
-from .shm import ArraySpec, ShmRing, cleanup_orphan_segments
-from .process_pool import ProcessWorkerPool, ShardResult
+from .server import Server, ServerHealth
 
 __all__ = [
     "CompileStats",
@@ -93,12 +87,6 @@ __all__ = [
     "StageStats",
     "build_report",
     "percentile",
-    "EXECUTION_MODES",
     "Server",
     "ServerHealth",
-    "ArraySpec",
-    "ShmRing",
-    "cleanup_orphan_segments",
-    "ProcessWorkerPool",
-    "ShardResult",
 ]

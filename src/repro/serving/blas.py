@@ -3,10 +3,10 @@
 The serving workers already supply the parallelism; a multi-threaded BLAS
 under each of them oversubscribes the cores (a 256x256x16 float64 product
 measured 7.7 ms instead of 0.07 ms on a 2-vCPU host).  OpenBLAS reads
-``OPENBLAS_NUM_THREADS`` only when it is loaded, so :func:`pin_blas_threads`
-calls the loaded library's runtime setter through :mod:`ctypes` and also
-exports the environment variables, so processes spawned later (the process
-tier's shards) load BLAS pinned.
+``OPENBLAS_NUM_THREADS`` only when it is loaded, so setting it at server
+start would change nothing; :func:`pin_blas_threads` calls the loaded
+library's runtime setter through :mod:`ctypes` instead and leaves the
+environment alone.
 """
 
 from __future__ import annotations
@@ -18,12 +18,6 @@ import re
 from typing import List
 
 logger = logging.getLogger(__name__)
-
-#: Thread-count variables of the common BLAS and OpenMP builds.
-BLAS_THREAD_ENV = (
-    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
-)
 
 #: Runtime thread-count setters, tried in order on each loaded BLAS library.
 _SETTER_SYMBOLS = (
@@ -49,11 +43,9 @@ def _loaded_blas_libraries() -> List[str]:
 def pin_blas_threads() -> bool:
     """Pin BLAS to one thread; returns whether a runtime setter was called.
 
-    When no loaded library exposes a known setter, only the environment is
-    pinned and one warning is logged.
+    When no loaded library exposes a known setter, nothing is pinned and one
+    warning is logged.
     """
-    for name in BLAS_THREAD_ENV:
-        os.environ[name] = "1"
     pinned = False
     for path in _loaded_blas_libraries():
         try:

@@ -42,7 +42,13 @@ def deadline_at(submitted_at: float, deadline_s: Optional[float]) -> Optional[fl
     """
     if deadline_s is None:
         return None
-    deadline_s = float(deadline_s)
+    try:
+        deadline_s = float(deadline_s)
+    except (TypeError, ValueError):
+        raise ServingError(
+            f"deadline_s must be a number of seconds, got "
+            f"{type(deadline_s).__name__}"
+        ) from None
     if not isfinite(deadline_s) or deadline_s <= 0.0:
         raise ServingError(
             f"deadline_s must be a positive finite number of seconds, "

@@ -5,7 +5,7 @@ of supervised worker threads draining it through the
 :class:`~repro.serving.batcher.MicroBatcher`, and the accounting that becomes
 the :class:`~repro.serving.report.ServingReport`.  The flow is the classic
 online-inference shape: clients :meth:`Server.submit` activations and receive
-future-style :class:`~repro.serving.request.Request` handles; admission
+future-style :class:`~repro.serving.model_request.ModelRequest` handles; admission
 control rejects work beyond ``max_pending`` with
 :class:`~repro.errors.BackpressureError`; workers coalesce up to ``max_batch``
 same-layer activations into one engine pass over the layer's precompiled
@@ -51,20 +51,13 @@ layer:
   plan (weight update) without dropping or reordering a single admitted
   request.
 
-Two execution tiers share all of the above machinery.  The default
-``execution="threads"`` runs the engine pass on the worker threads; the GIL
-serialises that compute, so ``execution="processes"`` instead pins each
-worker thread to a worker *process* holding its own plan replica
-(:class:`~repro.serving.process_pool.ProcessWorkerPool`), with activations
-and results crossing through shared-memory rings rather than pickle.  The
-queue, batching, deadlines, retries, degraded fallback and supervision stay
-in the parent either way — a crashed shard process surfaces as a
-:class:`~repro.errors.WorkerCrashError`, takes the same requeue path as a
-crashed thread, and its shard is restarted on next dispatch.
+There is one execution tier: the worker threads run the exact float64-BLAS
+product themselves, which releases the GIL, and ``start()`` pins BLAS to one
+thread so the workers do not oversubscribe the cores.
 
-On top of both tiers sits **whole-model pipelined serving**: when the plan
-was compiled with a :class:`~repro.serving.graph.ModelGraph`, a model-level
-``submit(activation=...)`` routes one request through *every* graph stage.
+Every request is **whole-model**: ``submit(activation)`` routes one request
+through *every* stage of the plan's :class:`~repro.serving.graph.ModelGraph`
+(a one-layer plan without a graph serves as an implicit one-stage chain).
 Each stage is an ordinary per-layer request flowing through the same
 queue/batcher/worker machinery, so per-stage micro-batching comes for free
 and different model requests occupy different pipeline stages concurrently —
@@ -79,7 +72,7 @@ Usage::
     )
     with Server(plan, num_workers=2, max_batch=16) as server:
         handles = [
-            server.submit(activation=act, deadline_s=5.0) for act in activations
+            server.submit(act, deadline_s=5.0) for act in activations
         ]
         outputs = [handle.result(timeout=60.0) for handle in handles]
     print(server.report().render())
@@ -89,9 +82,8 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,17 +102,22 @@ from .policy import (
     RetryPolicy,
     deadline_at,
 )
-from .process_pool import ProcessWorkerPool
 from .queue import RequestQueue
 from .report import ServingReport, ShardStats, StageStats, build_report
 from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, Request
-from .shm import cleanup_orphan_segments
-
-#: Valid ``Server(execution=...)`` tiers.
-EXECUTION_MODES = ("threads", "processes")
 
 #: Exactly-representable-in-float bound for validating float activations.
 _FLOAT_EXACT_INT_BOUND = float(2**53)
+
+
+def _reject_layer_name(activation: object) -> None:
+    """Fail fast on the removed per-layer call ``submit(layer, activation)``."""
+    if isinstance(activation, str):
+        raise TypeError(
+            f"submit() takes the activation first, got the string "
+            f"{activation!r}; requests are whole-model, so serve a one-layer "
+            f"plan or compile the plan with graph=..."
+        )
 
 
 @dataclass(frozen=True)
@@ -168,8 +165,7 @@ class _WorkerSlot:
     crash_errors: List[BaseException] = field(default_factory=list)
     dead: bool = False
     finished: bool = False
-    # Thread-mode utilization counters (process mode tracks these per shard
-    # inside the pool instead).
+    # Utilization counters, reported as this worker's ShardStats.
     batches: int = 0
     requests: int = 0
     compute_s: float = 0.0
@@ -204,10 +200,6 @@ class ServerHealth:
     num_retried: int
     num_degraded: int
     num_worker_restarts: int
-    #: Execution tier of the server ("threads" or "processes").
-    execution: str = "threads"
-    #: Live worker *processes*; ``None`` in thread mode.
-    alive_shards: Optional[int] = None
     #: Requests shed post-admission (claim-time doomed + breaker-blocked).
     num_shed: int = 0
     #: Requests shed at admission time (brownout / doomed-at-submit).
@@ -238,8 +230,6 @@ class ServerHealth:
             "num_retried": self.num_retried,
             "num_degraded": self.num_degraded,
             "num_worker_restarts": self.num_worker_restarts,
-            "execution": self.execution,
-            "alive_shards": self.alive_shards,
             "num_shed": self.num_shed,
             "num_admission_shed": self.num_admission_shed,
             "breaker_state": self.breaker_state,
@@ -255,9 +245,8 @@ class Server:
     plan:
         The :class:`~repro.serving.plan.ModelPlan` to serve.  With a
         :class:`~repro.serving.graph.ModelGraph` attached (compiled via
-        ``graph=...``), model-level :meth:`submit` pipelines requests
-        through every stage; without one, only the single layer of a
-        one-layer plan (or the deprecated layer-level surface) is servable.
+        ``graph=...``), :meth:`submit` pipelines requests through every
+        stage; without one, only a one-layer plan is servable.
     num_workers:
         Worker threads draining the queue (each executes whole micro-batches).
     max_batch:
@@ -286,19 +275,6 @@ class Server:
     max_worker_restarts:
         Supervisor budget of worker restarts over the server's lifetime;
         defaults to ``2 * num_workers``.
-    execution:
-        ``"threads"`` (default) executes batches on the worker threads
-        themselves; ``"processes"`` pins each worker thread to its own worker
-        *process* holding a plan replica, with activations and results
-        crossing through shared-memory rings — the tier that scales Python
-        compute past the GIL (see :mod:`repro.serving.process_pool`).
-    max_batch_columns:
-        Process mode only: ring slots are sized for one batch of up to this
-        many activation columns on the widest layer; larger batches fall back
-        to pickle transport (counted, never wrong).
-    start_method:
-        Process mode only: multiprocessing start method for the shards
-        (``"spawn"`` default; it is the threads-safe choice).
     """
 
     def __init__(
@@ -314,9 +290,6 @@ class Server:
         degraded_breaker: Union[CircuitBreaker, bool, None] = True,
         faults: Optional[FaultInjector] = None,
         max_worker_restarts: Optional[int] = None,
-        execution: str = "threads",
-        max_batch_columns: int = 64,
-        start_method: str = "spawn",
     ) -> None:
         if num_workers < 1:
             raise ServingError(f"num_workers must be positive, got {num_workers}")
@@ -326,17 +299,12 @@ class Server:
             raise ServingError(
                 f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
             )
-        if execution not in EXECUTION_MODES:
-            raise ServingError(
-                f"execution must be one of {EXECUTION_MODES}, got '{execution}'"
-            )
         self.plan = plan
         self.num_workers = num_workers
         self.max_batch = max_batch
         self.retry_policy = retry_policy
         self.degraded_fallback = degraded_fallback
         self.faults = faults
-        self.execution = execution
         self.max_worker_restarts = (
             max_worker_restarts if max_worker_restarts is not None else 2 * num_workers
         )
@@ -354,21 +322,7 @@ class Server:
             self.breaker = degraded_breaker
         self.queue = RequestQueue(max_pending)
         self.queue.controller = self.admission
-        self._pool: Optional[ProcessWorkerPool] = None
-        if execution == "processes":
-            # Shards inject faults through their own decorrelated injector
-            # clones (the parent's counters are unreachable across the
-            # process boundary), so the parent-side hooks stay quiet here.
-            self._pool = ProcessWorkerPool(
-                plan,
-                num_shards=num_workers,
-                max_batch_columns=max_batch_columns,
-                faults=faults,
-                start_method=start_method,
-            )
-        self.batcher = MicroBatcher(
-            plan, faults=faults if self._pool is None else None
-        )
+        self.batcher = MicroBatcher(plan, faults=faults)
         self._slots: List[_WorkerSlot] = []
         self._supervisor: Optional[threading.Thread] = None
         self._supervisor_cv = threading.Condition()
@@ -412,14 +366,6 @@ class Server:
             # The workers supply the parallelism; a multi-threaded BLAS under
             # each of them would oversubscribe the cores.
             pin_blas_threads()
-            # Process tier: bring every shard up before the first request can
-            # be admitted, so submit latency never pays a process spawn.
-            if self._pool is not None:
-                # Reclaim /dev/shm space leaked by previous serving parents
-                # that died between creating rings and closing them.
-                cleanup_orphan_segments()
-                for index in range(self.num_workers):
-                    self._pool.ensure_shard(index)
             # Spawn under the lock so a concurrent close() always sees the
             # full worker list when it snapshots for joining.
             for index in range(self.num_workers):
@@ -450,9 +396,8 @@ class Server:
         :class:`~repro.errors.ServingError` and only the batches already in
         flight finish.  ``timeout_s`` bounds the shutdown either way: if
         workers are still running when it elapses, the server force-aborts —
-        shard processes are terminated, still-queued *and* still-in-flight
-        requests are failed (never requeued) and counted as
-        ``num_force_aborted`` in the report.
+        still-queued *and* still-in-flight requests are failed (never
+        requeued) and counted as ``num_force_aborted`` in the report.
         """
         if timeout_s is not None and timeout_s < 0.0:
             raise ServingError(f"timeout_s must be >= 0, got {timeout_s}")
@@ -496,15 +441,11 @@ class Server:
                 self._supervisor_stop = True
                 self._supervisor_cv.notify_all()
             self._supervisor.join()
-        if self._pool is not None:
-            # A timed-out drain terminates wedged shard processes quickly
-            # instead of waiting out the full join grace per process.
-            self._pool.close(join_timeout_s=0.2 if timed_out else None)
         forced: List[Request] = []
         if timed_out:
-            # Give workers unwedged by the shard teardown a moment to unwind,
-            # then kill whatever is still held in flight.  Force-abort never
-            # requeues: the requests fail with ServingError and are counted.
+            # Give workers a moment to unwind, then kill whatever is still
+            # held in flight.  Force-abort never requeues: the requests fail
+            # with ServingError and are counted.
             grace_until = time.perf_counter() + 0.5
             while any(slot.alive for slot in self._slots):
                 if time.perf_counter() >= grace_until:
@@ -555,12 +496,10 @@ class Server:
 
         The server keeps admitting and queueing requests throughout; only
         batch *dispatch* pauses while in-flight batches drain to a
-        plan-quiescent point, then ``new_plan`` is installed — in the batcher
-        (thread tier) or in every shard process (process tier: replicas are
-        re-pickled and prewarmed, the shared-memory rings are kept) — and
-        dispatch resumes.  No admitted request is dropped or reordered; work
-        claimed before the swap completes against the old plan, everything
-        after runs on the new one.
+        plan-quiescent point, then ``new_plan`` is prewarmed and installed in
+        the batcher, and dispatch resumes.  No admitted request is dropped or
+        reordered; work claimed before the swap completes against the old
+        plan, everything after runs on the new one.
 
         ``new_plan`` must be shape-compatible with the served plan (same
         layer names, per-layer dimensions and model graph) so queued
@@ -582,14 +521,11 @@ class Server:
             while self._inflight_batches:
                 self._swap_cv.wait()
         try:
-            if self._pool is not None:
-                self._pool.swap_plan(new_plan)
-            else:
-                # Prewarm every layer's scoreboard now, outside the hot path,
-                # so the first post-swap batch pays no compile latency.
-                for name in new_plan.layer_names():
-                    shape = new_plan.layer(name).shape
-                    new_plan.run(name, np.zeros((shape.k, 1), dtype=np.int64))
+            # Prewarm every layer's scoreboard now, outside the hot path, so
+            # the first post-swap batch pays no compile latency.
+            for name in new_plan.layer_names():
+                shape = new_plan.layer(name).shape
+                new_plan.run(name, np.zeros((shape.k, 1), dtype=np.int64))
             self.plan = new_plan
             self.batcher.plan = new_plan
             with self._lock:
@@ -627,21 +563,20 @@ class Server:
     # -------------------------------------------------------------- clients
     def submit(
         self,
-        layer: Union[str, np.ndarray, None] = None,
-        activation: Optional[np.ndarray] = None,
+        activation: np.ndarray,
         deadline_s: Optional[float] = None,
         *,
         model: Optional[str] = None,
         stream: Optional[int] = None,
         priority: Optional[int] = None,
         options: Optional[SubmitOptions] = None,
-    ) -> Union[ModelRequest, Request]:
-        """Admit one request against the compiled model.
+    ) -> ModelRequest:
+        """Admit one whole-model request against the compiled plan.
 
-        The model-level surface (the default): ``submit(activation=act)``
-        routes the activation through every stage of the plan's
-        :class:`~repro.serving.graph.ModelGraph` and returns a
-        :class:`~repro.serving.model_request.ModelRequest` handle.  ``model=``
+        The activation is routed through every stage of the plan's
+        :class:`~repro.serving.graph.ModelGraph` and a
+        :class:`~repro.serving.model_request.ModelRequest` handle is
+        returned.  ``deadline_s`` bounds the whole pipeline, ``model=``
         optionally names the plan being targeted (validated), ``stream=N``
         runs ``N`` autoregressive decode steps (step ``t``'s output feeds
         step ``t + 1``), ``priority=`` picks the QoS class (0 = interactive,
@@ -649,154 +584,80 @@ class Server:
         and the admission controller browns out first), and ``options=``
         bundles all of them as a
         :class:`~repro.serving.model_request.SubmitOptions` (explicit
-        keywords win).  Admission control applies at stage 0 only — a model
-        request occupies one pipeline stage at a time, so continuations
-        never bounce off the queue bound.  Besides
-        :class:`~repro.errors.BackpressureError`, submission may raise
+        keywords win).  Shape and dtype are validated up front.  Admission
+        control applies at stage 0 only — a model request occupies one
+        pipeline stage at a time, so continuations never bounce off the
+        queue bound.  Submission may raise
+        :class:`~repro.errors.BackpressureError` when the queue is full and
         :class:`~repro.errors.ShedError` when the admission controller
         judges the request doomed or browns out its priority class.
-
-        The deprecated layer-level surface: ``submit("q_proj", act)`` (first
-        positional a layer-name string) targets a single compiled layer and
-        returns a plain :class:`~repro.serving.request.Request`, emitting a
-        :class:`DeprecationWarning`.  Both surfaces validate shape/dtype up
-        front, honour ``deadline_s`` and may raise
-        :class:`~repro.errors.BackpressureError`.
         """
-        if isinstance(layer, str):
-            warnings.warn(
-                "Server.submit(layer, activation) is deprecated; use the "
-                "model-level submit(activation=...) against a plan compiled "
-                "with graph=... (see docs/serving.md for the migration table)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if activation is None:
-                raise ServingError(
-                    "layer-level submit() needs an activation matrix"
-                )
-            return self._submit_layer(layer, activation, deadline_s, priority)
-        if layer is not None:
-            if activation is not None:
-                raise ServingError(
-                    "submit() got two activations (positional and keyword); "
-                    "pass exactly one"
-                )
-            activation = layer
-        if activation is None:
-            raise ServingError("submit() needs an activation matrix")
-        return self._submit_model(
-            activation, deadline_s=deadline_s, model=model,
-            stream=stream, priority=priority, options=options,
+        _reject_layer_name(activation)
+        graph, deadline_s, steps, qos = self._resolve_submit(
+            deadline_s, model, stream, priority, options
         )
+        with self._lock:
+            self._check_accepting()
+            request_id = self._next_id
+            self._next_id += 1
+            self._served_model_requests = True
+        now = time.perf_counter()
+        # Shed before building: a shed submit never materialises its requests.
+        self._admission_shed_check(
+            graph.stages[0].layer, deadline_at(now, deadline_s), qos
+        )
+        model_request, stage0 = self._build_model_request(
+            request_id, graph, activation, now, deadline_s, steps, qos,
+        )
+        self.queue.put(stage0)  # may raise BackpressureError
+        return model_request
 
     def submit_many(
         self,
-        layer: Union[str, List[np.ndarray], None] = None,
-        activations: Optional[List[np.ndarray]] = None,
+        activations: Sequence[np.ndarray],
         deadline_s: Optional[float] = None,
         *,
         model: Optional[str] = None,
         stream: Optional[int] = None,
         priority: Optional[int] = None,
         options: Optional[SubmitOptions] = None,
-    ) -> Union[List[ModelRequest], List[Request]]:
-        """Admit a batch of requests atomically (all-or-nothing admission).
+    ) -> List[ModelRequest]:
+        """Admit a batch of whole-model requests atomically (all-or-nothing).
 
-        The model-level surface: ``submit_many(activations=[...])`` admits
-        one whole-model request per activation, with every stage-0 request
+        One model request per activation, with every stage-0 request
         enqueued through a single
         :meth:`~repro.serving.queue.RequestQueue.put_many` call — if the
         batch does not fit under ``max_pending``, nothing is admitted and
         :class:`~repro.errors.BackpressureError` is raised with every member
-        counted as rejected.  Returns the
-        :class:`~repro.serving.model_request.ModelRequest` handles in
-        submission order.
-
-        The deprecated layer-level surface ``submit_many("q_proj", [...])``
-        keeps the PR 8 contract for single-layer batches (and emits a
-        :class:`DeprecationWarning`).
+        counted as rejected.  A validation failure on any member admits
+        nothing either.  Returns the handles in submission order.
         """
-        if isinstance(layer, str):
-            warnings.warn(
-                "Server.submit_many(layer, activations) is deprecated; use "
-                "the model-level submit_many(activations=...) against a plan "
-                "compiled with graph=... (see docs/serving.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if activations is None:
-                raise ServingError(
-                    "layer-level submit_many() needs a list of activations"
-                )
-            return self._submit_layer_many(layer, activations, deadline_s, priority)
-        if layer is not None:
-            if activations is not None:
-                raise ServingError(
-                    "submit_many() got two activation lists (positional and "
-                    "keyword); pass exactly one"
-                )
-            activations = layer
-        if activations is None:
-            raise ServingError("submit_many() needs a list of activations")
-        return self._submit_model_many(
-            activations, deadline_s=deadline_s, model=model,
-            stream=stream, priority=priority, options=options,
-        )
-
-    # ------------------------------------------------- layer-level (legacy)
-    def _submit_layer(
-        self,
-        layer: str,
-        activation: np.ndarray,
-        deadline_s: Optional[float] = None,
-        priority: Optional[int] = None,
-    ) -> Request:
-        """Admit one single-layer request (the pre-pipeline contract)."""
-        with self._lock:
-            self._check_accepting()
-            request_id = self._next_id
-            self._next_id += 1
-        layer_plan = self.plan.layer(layer)
-        request = self._make_request(
-            request_id, layer, layer_plan, activation,
-            time.perf_counter(), deadline_s, priority or 0,
-        )
-        self._admission_shed_check(layer, request.deadline_at, request.priority)
-        self.queue.put(request)  # may raise BackpressureError
-        return request
-
-    def _submit_layer_many(
-        self,
-        layer: str,
-        activations: List[np.ndarray],
-        deadline_s: Optional[float] = None,
-        priority: Optional[int] = None,
-    ) -> List[Request]:
-        """Admit a same-layer batch atomically (the pre-pipeline contract)."""
+        _reject_layer_name(activations)
         activations = list(activations)
         if not activations:
             raise ServingError("submit_many needs at least one activation")
+        graph, deadline_s, steps, qos = self._resolve_submit(
+            deadline_s, model, stream, priority, options
+        )
         with self._lock:
             self._check_accepting()
             first_id = self._next_id
             self._next_id += len(activations)
-        layer_plan = self.plan.layer(layer)
+            self._served_model_requests = True
         submitted_at = time.perf_counter()
-        requests = [
-            self._make_request(
-                first_id + offset, layer, layer_plan, activation,
-                submitted_at, deadline_s, priority or 0,
+        self._admission_shed_check(
+            graph.stages[0].layer, deadline_at(submitted_at, deadline_s), qos,
+            count=len(activations),
+        )
+        pairs = [
+            self._build_model_request(
+                first_id + offset, graph, activation, submitted_at,
+                deadline_s, steps, qos,
             )
             for offset, activation in enumerate(activations)
         ]
-        # All-or-nothing, like put_many: one shed decision covers the batch.
-        self._admission_shed_check(
-            layer, requests[0].deadline_at, requests[0].priority,
-            count=len(requests),
-        )
-        self.queue.put_many(requests)  # may raise BackpressureError
-        return requests
+        self.queue.put_many([stage0 for _, stage0 in pairs])
+        return [model_request for model_request, _ in pairs]
 
     def _admission_shed_check(
         self,
@@ -906,69 +767,6 @@ class Server:
         model_request._set_current(stage0)
         return model_request, stage0
 
-    def _submit_model(
-        self,
-        activation: np.ndarray,
-        deadline_s: Optional[float],
-        model: Optional[str],
-        stream: Optional[int],
-        priority: Optional[int],
-        options: Optional[SubmitOptions],
-    ) -> ModelRequest:
-        graph, deadline_s, steps, qos = self._resolve_submit(
-            deadline_s, model, stream, priority, options
-        )
-        with self._lock:
-            self._check_accepting()
-            request_id = self._next_id
-            self._next_id += 1
-            self._served_model_requests = True
-        now = time.perf_counter()
-        # Shed before building: a shed submit never materialises its requests.
-        self._admission_shed_check(
-            graph.stages[0].layer, deadline_at(now, deadline_s), qos
-        )
-        model_request, stage0 = self._build_model_request(
-            request_id, graph, activation, now, deadline_s, steps, qos,
-        )
-        self.queue.put(stage0)  # may raise BackpressureError
-        return model_request
-
-    def _submit_model_many(
-        self,
-        activations: List[np.ndarray],
-        deadline_s: Optional[float],
-        model: Optional[str],
-        stream: Optional[int],
-        priority: Optional[int],
-        options: Optional[SubmitOptions],
-    ) -> List[ModelRequest]:
-        activations = list(activations)
-        if not activations:
-            raise ServingError("submit_many needs at least one activation")
-        graph, deadline_s, steps, qos = self._resolve_submit(
-            deadline_s, model, stream, priority, options
-        )
-        with self._lock:
-            self._check_accepting()
-            first_id = self._next_id
-            self._next_id += len(activations)
-            self._served_model_requests = True
-        submitted_at = time.perf_counter()
-        self._admission_shed_check(
-            graph.stages[0].layer, deadline_at(submitted_at, deadline_s), qos,
-            count=len(activations),
-        )
-        pairs = [
-            self._build_model_request(
-                first_id + offset, graph, activation, submitted_at,
-                deadline_s, steps, qos,
-            )
-            for offset, activation in enumerate(activations)
-        ]
-        self.queue.put_many([stage0 for _, stage0 in pairs])
-        return [model_request for model_request, _ in pairs]
-
     def _on_stage_done(self, request: Request) -> None:
         """Advance a pipelined model request when one of its stages settles.
 
@@ -993,13 +791,13 @@ class Server:
     ) -> None:
         graph: ModelGraph = model_request._graph
         if request.state != DONE:
-            # The stage failed / expired / was cancelled: its error is the
-            # model request's error (deadlines and retries were already
-            # enforced at stage level, exactly as for single-layer requests).
+            # The stage failed / expired / was cancelled / was shed: its error
+            # and terminal state are the model request's (deadlines and
+            # retries were already enforced at stage level).
             try:
                 request.result(timeout=0)
             except BaseException as error:  # noqa: BLE001 - forwarded
-                self._finish_model(model_request, error=error)
+                self._finish_model(model_request, error=error, state=request.state)
                 return
             raise ServingError(
                 f"stage request {request.request_id} in state "
@@ -1070,12 +868,13 @@ class Server:
         model_request: ModelRequest,
         error: Optional[BaseException] = None,
         cancelled: bool = False,
+        state: str = FAILED,
     ) -> None:
         now = time.perf_counter()
         if cancelled:
             won = model_request._cancelled(now)
         elif error is not None:
-            won = model_request._fail(error, now)
+            won = model_request._fail(error, now, state)
         else:
             won = model_request._complete(now)
         if not won:
@@ -1194,10 +993,7 @@ class Server:
                     self._swap_cv.wait()
                 self._inflight_batches += 1
             try:
-                if self.faults is not None and self._pool is None:
-                    # Thread tier injects dispatch faults here; the process
-                    # tier's equivalent fires inside the shard (and kills the
-                    # process).
+                if self.faults is not None:
                     self.faults.on_dispatch(slot.name)  # may raise: worker death
                 self._process_batch(slot, batch)
             finally:
@@ -1214,7 +1010,7 @@ class Server:
         if claimed and self.admission is not None:
             for request in claimed:
                 self.admission.observe_wait(claim_time - request.submitted_at)
-        execution = self._execute_resilient(slot, claimed) if claimed else None
+        execution = self._execute_resilient(claimed) if claimed else None
         if execution is not None and self.admission is not None:
             self.admission.observe_batch(
                 execution.layer,
@@ -1223,8 +1019,7 @@ class Server:
                 if execution.compute_s is not None
                 else execution.duration_s,
             )
-        if claimed and self._pool is None:
-            # Thread-mode utilization accounting (the pool tracks its own).
+        if claimed:
             busy_s = time.perf_counter() - claim_time
             compute_s = execution.duration_s if execution is not None else 0.0
             slot.batches += 1
@@ -1233,54 +1028,8 @@ class Server:
             slot.dispatch_s += max(busy_s - compute_s, 0.0)
         self._finish([execution] if execution is not None else [], batch)
 
-    def _execute_claimed(
-        self, slot: _WorkerSlot, claimed: List[Request]
-    ) -> BatchExecution:
-        """One execution attempt on this worker's tier (thread or shard)."""
-        if self._pool is None:
-            return self.batcher.execute_once(claimed)
-        return self._execute_on_shard(slot.index, claimed)
-
-    def _execute_on_shard(
-        self, shard: int, claimed: List[Request]
-    ) -> BatchExecution:
-        """Round-trip one claimed batch through this worker's shard process.
-
-        Raises on failure with the requests untouched (same contract as
-        :meth:`~repro.serving.batcher.MicroBatcher.execute_once`), including
-        :class:`~repro.errors.WorkerCrashError` when the shard process died —
-        which deliberately escapes the retry machinery so the server's crash
-        path requeues the batch and the supervisor restarts the shard.
-        """
-        layer = self.batcher._check_batch(claimed)
-        started_at = time.perf_counter()
-        # A replacement worker thread lands here after a shard crash: bring
-        # the (dead) shard back up before dispatching to it.
-        self._pool.ensure_shard(shard)
-        result = self._pool.execute(
-            shard, layer, [request.activation for request in claimed]
-        )
-        attributions = [
-            self.plan.attribute(layer, request.columns) for request in claimed
-        ]
-        finished_at = time.perf_counter()
-        for request, output, attribution in zip(
-            claimed, result.outputs, attributions
-        ):
-            request.attribution = attribution
-            request.fulfil(output, finished_at)
-        return BatchExecution(
-            layer=layer,
-            batch_size=len(claimed),
-            total_columns=sum(int(out.shape[1]) for out in result.outputs),
-            started_at=started_at,
-            finished_at=finished_at,
-            op_counts=result.op_counts,
-            compute_s=result.compute_s,
-        )
-
     def _execute_resilient(
-        self, slot: _WorkerSlot, claimed: List[Request]
+        self, claimed: List[Request]
     ) -> Optional[BatchExecution]:
         """Run one claimed batch under the retry policy + degraded fallback.
 
@@ -1292,11 +1041,11 @@ class Server:
         attempt = 1
         while True:
             try:
-                execution = self._execute_claimed(slot, claimed)
+                execution = self.batcher.execute_once(claimed)
             except WorkerCrashError:
-                # Shard-process death is not a batch failure: let it escape to
-                # the worker crash path (requeue + supervised restart) instead
-                # of burning retries or degrading a batch that never ran.
+                # Worker death is not a batch failure: let it escape to the
+                # worker crash path (requeue + supervised restart) instead of
+                # burning retries or degrading a batch that never ran.
                 raise
             except Exception as error:  # noqa: BLE001 - resilience boundary
                 if self.retry_policy is not None and self.retry_policy.should_retry(
@@ -1507,10 +1256,6 @@ class Server:
             num_retried=retried,
             num_degraded=degraded,
             num_worker_restarts=restarts,
-            execution=self.execution,
-            alive_shards=(
-                self._pool.alive_shards() if self._pool is not None else None
-            ),
             num_shed=shed,
             num_admission_shed=admission_shed,
             breaker_state=(
@@ -1520,21 +1265,7 @@ class Server:
         )
 
     def _shard_stats(self) -> List[ShardStats]:
-        """Per-shard utilization: pool counters, or thread-slot equivalents."""
-        if self._pool is not None:
-            return [
-                ShardStats(
-                    shard=stat["shard"],
-                    batches=stat["batches"],
-                    requests=stat["requests"],
-                    compute_s=stat["compute_s"],
-                    dispatch_s=stat["dispatch_s"],
-                    restarts=stat["restarts"],
-                    shm_fallbacks=stat["shm_fallbacks"],
-                    plan_swaps=stat.get("plan_swaps", 0),
-                )
-                for stat in self._pool.shard_stats()
-            ]
+        """Per-worker utilization from the worker slots' counters."""
         with self._lock:
             return [
                 ShardStats(
@@ -1638,7 +1369,6 @@ class Server:
             num_degraded=degraded,
             num_worker_restarts=restarts,
             compile_stats=getattr(self.plan, "compile_stats", None),
-            execution=self.execution,
             shards=self._shard_stats(),
             stages=stages,
             model_latencies_s=[record.latency_s for record in model_done],

@@ -1,5 +1,6 @@
 """The redesigned serving API surface: exports, keyword-only constructors,
-deprecation shims, submit validation and the ModelGraph contract."""
+the removed per-layer surface, submit validation and the ModelGraph
+contract."""
 
 import warnings
 
@@ -13,13 +14,11 @@ from repro.serving import (
     MicroBatcher,
     ModelGraph,
     ModelRequest,
-    ProcessWorkerPool,
     Server,
     StageSpec,
     SubmitOptions,
     compile_workload,
 )
-from repro.serving.request import Request
 from repro.workloads import synthetic_gemm_workload
 
 
@@ -60,38 +59,22 @@ class TestKeywordOnlyConstructors:
         with pytest.raises(TypeError):
             MicroBatcher(plan, None)
 
-    def test_process_pool_rejects_positional_shards(self):
-        plan = _plan()
-        with pytest.raises(TypeError):
-            ProcessWorkerPool(plan, 2)
 
-
-class TestDeprecationShims:
-    def test_layer_submit_warns_and_still_serves(self):
+class TestRemovedLayerSurface:
+    def test_layer_name_submit_is_a_type_error(self):
         plan = _plan()
-        activation = np.arange(8, dtype=np.int64).reshape(8, 1)
+        activation = np.ones((8, 1), dtype=np.int64)
         with Server(plan, num_workers=1, max_batch=2) as server:
-            with pytest.warns(DeprecationWarning, match="submit"):
-                request = server.submit("layer0", activation)
-            assert isinstance(request, Request)
-            assert np.array_equal(
-                request.result(timeout=10.0),
-                plan.layer("layer0").weight @ activation,
-            )
+            with pytest.raises(TypeError, match="activation first"):
+                server.submit("layer0", activation)
+            with pytest.raises(TypeError, match="activation first"):
+                server.submit_many("layer0", [activation])
+            assert len(server.queue) == 0
 
-    def test_layer_submit_many_warns_and_still_serves(self):
-        plan = _plan()
-        activations = [
-            np.full((8, 1), fill, dtype=np.int64) for fill in (1, 2, 3)
-        ]
-        with Server(plan, num_workers=1, max_batch=4) as server:
-            with pytest.warns(DeprecationWarning, match="submit_many"):
-                requests = server.submit_many("layer0", activations)
-            weight = plan.layer("layer0").weight
-            for request, activation in zip(requests, activations):
-                assert np.array_equal(
-                    request.result(timeout=10.0), weight @ activation
-                )
+    def test_execution_tier_option_is_gone(self):
+        with pytest.raises(TypeError):
+            Server(_plan(), execution="threads")
+        assert "EXECUTION_MODES" not in serving.__all__
 
     def test_model_submit_does_not_warn(self):
         plan = _plan()
@@ -114,11 +97,12 @@ class TestSubmitValidation:
             with pytest.raises(ServingError, match="serves model"):
                 server.submit(activation, model="some-other-model")
 
-    def test_layer_and_activation_positional_conflict(self):
+    def test_activation_passed_as_deadline_is_rejected(self):
         plan = _plan()
         activation = np.ones((8, 1), dtype=np.int64)
         with Server(plan, num_workers=1, max_batch=2) as server:
-            with pytest.raises(ServingError):
+            # The second positional argument is deadline_s.
+            with pytest.raises(ServingError, match="deadline_s"):
                 server.submit(activation, activation)
 
     def test_stream_requires_streamable_graph(self):

@@ -53,10 +53,7 @@ class TestServingReport:
         rng = np.random.default_rng(0)
         with Server(plan, num_workers=1, max_batch=4) as server:
             futures = [
-                server.submit(
-                    "layer0",
-                    rng.integers(-8, 8, size=(20, 1), dtype=np.int64),
-                )
+                server.submit(rng.integers(-8, 8, size=(20, 1), dtype=np.int64))
                 for _ in range(8)
             ]
             for future in futures:

@@ -22,6 +22,11 @@ def _plan(**kwargs):
     return compile_workload(workload, seed=11, **kwargs)
 
 
+def _served_plan():
+    """One-layer plan: it serves as an implicit one-stage pipeline."""
+    return _plan(layer_names=["layer0"])
+
+
 def _request(request_id, layer="layer0", k=10, cols=1, deadline_at_=None):
     activation = np.arange(k * cols, dtype=np.int64).reshape(k, cols)
     return Request(
@@ -138,24 +143,24 @@ class TestQueueDeadlines:
 
 class TestServerDeadlines:
     def test_submit_rejects_invalid_deadline(self):
-        with Server(_plan(), num_workers=1) as server:
+        with Server(_served_plan(), num_workers=1) as server:
             activation = np.ones((10, 1), dtype=np.int64)
             for bad in (0.0, -2.0, float("inf"), float("nan")):
                 with pytest.raises(ServingError):
-                    server.submit("layer0", activation, deadline_s=bad)
+                    server.submit(activation, deadline_s=bad)
 
     def test_expired_request_fails_without_being_computed(self):
-        plan = _plan()
+        plan = _served_plan()
         server = Server(plan, num_workers=1, max_batch=1)
         gate = _Gate(server)
         activation = np.ones((10, 1), dtype=np.int64)
         try:
             server.start()
-            blocker = server.submit("layer0", activation)
+            blocker = server.submit(activation)
             deadline = time.perf_counter() + 5.0
             while len(server.queue) and time.perf_counter() < deadline:
                 time.sleep(0.001)  # the gated worker holds the first request
-            doomed = server.submit("layer0", activation, deadline_s=0.01)
+            doomed = server.submit(activation, deadline_s=0.01)
             time.sleep(0.05)  # let the deadline lapse while queued
             gate.release()
             with pytest.raises(DeadlineExceededError):
@@ -168,7 +173,7 @@ class TestServerDeadlines:
             gate.release()
             server.close()
         assert doomed.state == EXPIRED
-        assert doomed.started_at is None  # never claimed by a worker
+        assert doomed._current.started_at is None  # never claimed by a worker
         report = server.report()
         assert report.num_requests == 1
         assert report.num_expired == 1
@@ -176,17 +181,17 @@ class TestServerDeadlines:
         assert server.health().num_expired == 1
 
     def test_cancel_abandons_queued_work(self):
-        plan = _plan()
+        plan = _served_plan()
         server = Server(plan, num_workers=1, max_batch=1)
         gate = _Gate(server)
         activation = np.ones((10, 1), dtype=np.int64)
         try:
             server.start()
-            blocker = server.submit("layer0", activation)
+            blocker = server.submit(activation)
             deadline = time.perf_counter() + 5.0
             while len(server.queue) and time.perf_counter() < deadline:
                 time.sleep(0.001)
-            victim = server.submit("layer0", activation)
+            victim = server.submit(activation)
             assert victim.cancel() is True
             with pytest.raises(RequestCancelledError):
                 victim.result(timeout=1.0)
@@ -203,16 +208,16 @@ class TestServerDeadlines:
         assert blocker.cancel() is False
 
     def test_close_abort_fails_queued_requests_promptly(self):
-        plan = _plan()
+        plan = _served_plan()
         server = Server(plan, num_workers=1, max_batch=1)
         gate = _Gate(server)
         activation = np.ones((10, 1), dtype=np.int64)
         server.start()
-        inflight = server.submit("layer0", activation)
+        inflight = server.submit(activation)
         deadline = time.perf_counter() + 5.0
         while len(server.queue) and time.perf_counter() < deadline:
             time.sleep(0.001)
-        queued = [server.submit("layer0", activation) for _ in range(2)]
+        queued = [server.submit(activation) for _ in range(2)]
         closer = threading.Thread(target=server.close, kwargs={"drain": False})
         closer.start()
         # Queued-but-undispatched requests fail while the in-flight batch is

@@ -301,7 +301,9 @@ class TestWorkerSupervision:
 class TestSeededChaos:
     def test_seeded_chaos_run_is_bit_identical_and_accounted(self):
         """ISSUE 6 acceptance: probabilistic seeded faults, 100% availability."""
-        plan = _plan()
+        workload = synthetic_gemm_workload(num_layers=2, n=10, k=10, m=4, weight_bits=4)
+        plan = compile_workload(workload, seed=23, graph="chain")
+        w0, w1 = plan.layer("layer0").weight, plan.layer("layer1").weight
         faults = FaultInjector(
             engine_fault_rate=0.25,
             latency_rate=0.2,
@@ -320,19 +322,19 @@ class TestSeededChaos:
         rng = np.random.default_rng(99)
         submitted = []
         with server:
-            for index in range(48):
-                layer = f"layer{index % 2}"
+            # 24 model requests, each through both chained layers: 48 stage
+            # requests, 24 per layer.
+            for _ in range(24):
                 activation = rng.integers(
                     -32, 32, size=(10, int(rng.integers(1, 3))), dtype=np.int64
                 )
-                submitted.append(
-                    (server.submit(layer, activation), layer, activation)
-                )
-            for request, layer, activation in submitted:
-                expected = plan.layer(layer).weight @ activation
+                submitted.append((server.submit(activation), activation))
+            for request, activation in submitted:
+                expected = w1 @ (w0 @ activation)
                 assert np.array_equal(request.result(timeout=30.0), expected)
         report = server.report()
         assert report.num_requests == 48
+        assert report.requests_per_layer == {"layer0": 24, "layer1": 24}
         assert report.num_failed == 0  # availability: every request completed
         assert report.num_expired == 0 and report.num_cancelled == 0
         stats = faults.stats()

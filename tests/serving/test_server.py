@@ -22,9 +22,19 @@ from repro.transarray import TransitiveArrayAccelerator
 from repro.workloads import synthetic_gemm_workload
 
 
+def _activations(plan, count, columns=3, seed=0):
+    rng = np.random.default_rng(seed)
+    k = plan.layer(plan.layer_names()[0]).shape.k
+    return [
+        rng.integers(-64, 64, size=(k, columns), dtype=np.int64)
+        for _ in range(count)
+    ]
+
+
 class TestServerLifecycle:
     def _plan(self, **kwargs):
-        workload = synthetic_gemm_workload(num_layers=2, n=16, k=12, m=4, weight_bits=5)
+        """One-layer plan: it serves as an implicit one-stage pipeline."""
+        workload = synthetic_gemm_workload(num_layers=1, n=16, k=12, m=4, weight_bits=5)
         return compile_workload(workload, seed=13, **kwargs)
 
     def test_submit_requires_started_server_and_valid_request(self):
@@ -32,29 +42,34 @@ class TestServerLifecycle:
         server = Server(plan, num_workers=1, max_batch=2)
         activation = np.ones((12, 1), dtype=np.int64)
         with pytest.raises(ServingError):
-            server.submit("layer0", activation)  # not started
+            server.submit(activation)  # not started
         with server:
             with pytest.raises(ServingError):
-                server.submit("missing", activation)
+                server.submit(activation, model="missing")
             with pytest.raises(ServingError):
-                server.submit("layer0", np.ones((5, 1), dtype=np.int64))
+                server.submit(np.ones((5, 1), dtype=np.int64))
             with pytest.raises(ServingError):
-                server.submit("layer0", np.ones((12, 0), dtype=np.int64))
-            request = server.submit("layer0", activation)
+                server.submit(np.ones((12, 0), dtype=np.int64))
+            request = server.submit(activation)
             assert np.array_equal(
                 request.result(timeout=10.0), plan.layer("layer0").weight @ activation
             )
         with pytest.raises(ServingError):
-            server.submit("layer0", activation)  # closed
+            server.submit(activation)  # closed
         with pytest.raises(ServingError):
             Server(plan, num_workers=0)
         with pytest.raises(ServingError):
             Server(plan, max_batch=0)
 
     def test_concurrent_multi_layer_serving_and_report(self):
-        plan = self._plan(accelerator=TransitiveArrayAccelerator(samples_per_gemm=2))
+        # Two chained layers: every model request passes through both.
+        workload = synthetic_gemm_workload(num_layers=2, n=12, k=12, m=4, weight_bits=5)
+        plan = compile_workload(
+            workload, seed=13, graph="chain",
+            accelerator=TransitiveArrayAccelerator(samples_per_gemm=2),
+        )
+        layers = plan.layer_names()
         rng = np.random.default_rng(17)
-        layers = [f"layer{i % 2}" for i in range(32)]
         activations = [
             rng.integers(-64, 64, size=(12, int(rng.integers(1, 4))), dtype=np.int64)
             for _ in range(32)
@@ -65,7 +80,7 @@ class TestServerLifecycle:
         with Server(plan, num_workers=3, max_batch=4, max_pending=64) as server:
             def client(index):
                 try:
-                    request = server.submit(layers[index], activations[index])
+                    request = server.submit(activations[index])
                     results[index] = request.result(timeout=30.0)
                 except Exception as exc:  # pragma: no cover - failure reporting
                     errors.append(exc)
@@ -77,15 +92,18 @@ class TestServerLifecycle:
                 thread.join()
 
         assert not errors
+        w0, w1 = (plan.layer(name).weight for name in layers)
         for index in range(32):
-            expected = plan.layer(layers[index]).weight @ activations[index]
+            expected = w1 @ (w0 @ activations[index])
             assert np.array_equal(results[index], expected)
 
+        # The report counts per-layer stage requests: two per model request.
         report = server.report()
-        assert report.num_requests == 32
+        assert report.num_requests == 64
+        assert report.num_model_requests == 32
         assert report.num_failed == 0
-        assert report.total_columns == sum(a.shape[1] for a in activations)
-        assert report.requests_per_layer == {"layer0": 16, "layer1": 16}
+        assert report.total_columns == 2 * sum(a.shape[1] for a in activations)
+        assert report.requests_per_layer == {"layer0": 32, "layer1": 32}
         assert 0.0 < report.latency_p50_s <= report.latency_p99_s
         assert report.mean_batch_size >= 1.0
         assert report.plan_hits == report.num_batches
@@ -96,15 +114,16 @@ class TestServerLifecycle:
         assert report.attributed_energy.total_nj > 0
         # The report's totals are the sum of the per-request attributions.
         expected = [
-            plan.attribute(layers[index], activations[index].shape[1])
-            for index in range(32)
+            plan.attribute(layer, activation.shape[1])
+            for layer in layers
+            for activation in activations
         ]
         assert report.attributed_cycles == sum(a.cycles for a in expected)
         assert report.attributed_energy.total_nj == pytest.approx(
             sum(a.energy.total_nj for a in expected)
         )
         assert report.render()  # table renders without error
-        assert report.as_dict()["num_requests"] == 32
+        assert report.as_dict()["num_requests"] == 64
 
     def test_backpressure_rejection_is_counted(self):
         plan = self._plan()
@@ -120,17 +139,18 @@ class TestServerLifecycle:
         activation = np.ones((12, 1), dtype=np.int64)
         try:
             server.start()
-            first = server.submit("layer0", activation)
+            first = server.submit(activation)
             deadline = time.perf_counter() + 5.0
             while len(server.queue) and time.perf_counter() < deadline:
                 time.sleep(0.001)  # wait for the (gated) worker to dequeue it
-            queued = server.submit("layer0", activation)  # fills the bounded queue
+            queued = server.submit(activation)  # fills the bounded queue
             with pytest.raises(BackpressureError):
-                server.submit("layer0", activation)
+                server.submit(activation)
             assert server.queue.rejected == 1
             # the rejected submission never produced a runnable request: the
-            # admitted one is still pending, untouched by the rejection
-            assert queued.state == PENDING
+            # admitted one's queued stage is still pending, untouched by the
+            # rejection
+            assert queued._current.state == PENDING
         finally:
             gate.set()
             server.close()
@@ -162,18 +182,18 @@ class TestServerLifecycle:
         plan = self._plan()
         with Server(plan, num_workers=1) as server:
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), 1.5))  # silent floor
+                server.submit(np.full((12, 1), 1.5))  # silent floor
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), np.nan))
+                server.submit(np.full((12, 1), np.nan))
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), np.inf))
+                server.submit(np.full((12, 1), np.inf))
             with pytest.raises(ServingError):
-                server.submit("layer0", np.full((12, 1), 2.0**60))  # not exact
+                server.submit(np.full((12, 1), 2.0**60))  # not exact
             with pytest.raises(ServingError):
-                server.submit("layer0", np.ones((12, 1), dtype=np.complex128))
+                server.submit(np.ones((12, 1), dtype=np.complex128))
             # exactly-integral floats and narrower integer dtypes are fine
-            exact_float = server.submit("layer0", np.full((12, 1), 3.0))
-            narrow_int = server.submit("layer0", np.ones((12, 1), dtype=np.int8))
+            exact_float = server.submit(np.full((12, 1), 3.0))
+            narrow_int = server.submit(np.ones((12, 1), dtype=np.int8))
             weight = plan.layer("layer0").weight
             assert np.array_equal(
                 exact_float.result(timeout=10.0),
@@ -183,6 +203,69 @@ class TestServerLifecycle:
                 narrow_int.result(timeout=10.0),
                 weight @ np.ones((12, 1), dtype=np.int64),
             )
+
+
+    def test_report_has_per_worker_stats(self):
+        plan = self._plan()
+        acts = _activations(plan, 8, seed=4)
+        with Server(plan, num_workers=2, max_batch=4) as server:
+            for act in acts:
+                server.submit(act).result(timeout=60.0)
+        report = server.report()
+        assert len(report.shards) == 2
+        assert sum(shard.batches for shard in report.shards) == report.num_batches
+        assert sum(shard.requests for shard in report.shards) == 8
+        assert report.compute_s_total > 0.0
+        assert report.dispatch_s_total >= 0.0
+        assert 0.0 < report.compute_fraction <= 1.0
+        assert report.queue_wait_s_total >= 0.0
+        summary = report.as_dict()
+        assert len(summary["shards"]) == 2
+        assert set(summary["shards"][0]) == {
+            "shard", "batches", "requests", "compute_s", "dispatch_s",
+            "utilization",
+        }
+        assert "execution" not in summary and "shm_fallbacks" not in summary
+
+
+class TestSubmitMany:
+    @pytest.fixture(scope="class")
+    def plan(self):
+        workload = synthetic_gemm_workload(num_layers=1, n=24, k=20, m=3, weight_bits=4)
+        return compile_workload(workload, seed=3)
+
+    def test_batch_admission_serves_bit_identically(self, plan):
+        acts = _activations(plan, 10, seed=9)
+        with Server(plan, num_workers=2, max_batch=4) as server:
+            requests = server.submit_many(activations=acts)
+            assert [r.request_id for r in requests] == list(range(10))
+            for request, act in zip(requests, acts):
+                expected = plan.layer("layer0").weight @ act
+                assert np.array_equal(request.result(timeout=60.0), expected)
+
+    def test_admission_is_all_or_nothing(self, plan):
+        acts = _activations(plan, 6, seed=10)
+        server = Server(plan, num_workers=1, max_pending=4)
+        # Not started: the queue must stay untouched while we probe admission.
+        server._started = True
+        with pytest.raises(BackpressureError):
+            server.submit_many(activations=acts)
+        assert len(server.queue) == 0  # nothing partially admitted
+        assert server.queue.rejected == 6  # every member counted
+        admitted = server.submit_many(activations=acts[:4])
+        assert len(server.queue) == 4
+        assert len(admitted) == 4
+
+    def test_validation_failures_admit_nothing(self, plan):
+        server = Server(plan, num_workers=1)
+        server._started = True
+        bad = [np.ones((3, 2), dtype=np.int64)]  # wrong k
+        good = _activations(plan, 1, seed=11)
+        with pytest.raises(ServingError):
+            server.submit_many(activations=good + bad)
+        assert len(server.queue) == 0
+        with pytest.raises(ServingError):
+            server.submit_many(activations=[])
 
 
 class TestLlamaFcAcceptance:
