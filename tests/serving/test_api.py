@@ -71,10 +71,36 @@ class TestRemovedLayerSurface:
                 server.submit_many("layer0", [activation])
             assert len(server.queue) == 0
 
-    def test_execution_tier_option_is_gone(self):
-        with pytest.raises(TypeError):
-            Server(_plan(), execution="threads")
-        assert "EXECUTION_MODES" not in serving.__all__
+    @pytest.mark.parametrize("option,value", [
+        ("execution", "threads"),
+        ("start_method", "spawn"),
+        ("max_batch_columns", 64),
+    ])
+    def test_process_tier_options_are_gone(self, option, value):
+        with pytest.raises(TypeError, match=option):
+            Server(_plan(), **{option: value})
+
+    @pytest.mark.parametrize("name", [
+        "EXECUTION_MODES", "ArraySpec", "ShmRing", "cleanup_orphan_segments",
+        "ProcessWorkerPool", "ShardResult",
+    ])
+    def test_process_tier_exports_are_gone(self, name):
+        assert name not in serving.__all__
+        assert not hasattr(serving, name)
+
+    @pytest.mark.parametrize("owner,attribute", [
+        (serving.ServerHealth, "execution"),
+        (serving.ServerHealth, "alive_shards"),
+        (serving.ServingReport, "execution"),
+        (serving.ServingReport, "shm_fallbacks"),
+        (serving.ShardStats, "shm_fallbacks"),
+        (serving.ShardStats, "plan_swaps"),
+        (serving.FaultInjector, "for_shard"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_process_only_state_is_gone(self, owner, attribute):
+        fields = getattr(owner, "__dataclass_fields__", {})
+        assert attribute not in fields
+        assert not hasattr(owner, attribute)
 
     def test_model_submit_does_not_warn(self):
         plan = _plan()

@@ -149,6 +149,19 @@ class TestServerDeadlines:
                 with pytest.raises(ServingError):
                     server.submit(activation, deadline_s=bad)
 
+    @pytest.mark.parametrize("bad", [
+        "soon", b"later", object(), [1.0, 2.0], 1j,
+    ], ids=["str", "bytes", "object", "list", "complex"])
+    def test_submit_rejects_non_numeric_deadline(self, bad):
+        activation = np.ones((10, 1), dtype=np.int64)
+        with Server(_served_plan(), num_workers=1) as server:
+            with pytest.raises(ServingError, match="deadline_s"):
+                server.submit(activation, deadline_s=bad)
+            with pytest.raises(ServingError, match="deadline_s"):
+                server.submit_many([activation], deadline_s=bad)
+            assert len(server.queue) == 0
+            assert server.queue.rejected == 0
+
     def test_expired_request_fails_without_being_computed(self):
         plan = _served_plan()
         server = Server(plan, num_workers=1, max_batch=1)

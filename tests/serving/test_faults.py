@@ -342,3 +342,62 @@ class TestSeededChaos:
         if stats.engine_faults:
             assert report.num_retried > 0 or report.num_degraded > 0
         assert report.as_dict()["num_retried"] == report.num_retried
+
+
+class TestModelSurfaceFaults:
+    """Worker crashes and engine faults under whole-model submission."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return _plan(layer_names=["layer0"])
+
+    @pytest.mark.parametrize("crash_at", [1, 2, 3])
+    def test_injected_worker_crash_restarts_and_requeues(self, plan, crash_at):
+        faults = FaultInjector(plan=FaultPlan(worker_crashes_at={crash_at}))
+        activations = _activations(8, seed=crash_at)
+        weight = plan.layer("layer0").weight
+        with Server(
+            plan, num_workers=1, max_batch=2, retry_policy=FAST_RETRIES,
+            faults=faults,
+        ) as server:
+            requests = [server.submit(act) for act in activations]
+            for request, activation in zip(requests, activations):
+                assert np.array_equal(
+                    request.result(timeout=30.0), weight @ activation
+                )
+            # The supervisor restarts asynchronously; wait for it while the
+            # server is still open (restarts after close() are skipped).
+            deadline = time.perf_counter() + 10.0
+            while (server.health().num_worker_restarts < 1
+                   and time.perf_counter() < deadline):
+                time.sleep(0.005)
+            assert server.health().num_worker_restarts == 1
+        report = server.report()
+        assert report.num_failed == 0
+        assert report.num_model_failed == 0
+        assert report.num_worker_restarts == 1
+        # The crashed batch went back through the queue, not the oracle.
+        assert report.num_degraded == 0
+        assert faults.stats().worker_crashes == 1
+        assert sum(shard.requests for shard in report.shards) == 8
+
+    @pytest.mark.parametrize("fault_at", [1, 2, 3])
+    def test_transient_engine_fault_retries_on_the_worker(self, plan, fault_at):
+        faults = FaultInjector(plan=FaultPlan(engine_faults_at={fault_at}))
+        activations = _activations(12, seed=10 + fault_at)
+        weight = plan.layer("layer0").weight
+        with Server(
+            plan, num_workers=1, max_batch=4, retry_policy=FAST_RETRIES,
+            faults=faults,
+        ) as server:
+            requests = [server.submit(act) for act in activations]
+            for request, activation in zip(requests, activations):
+                assert np.array_equal(
+                    request.result(timeout=30.0), weight @ activation
+                )
+        report = server.report()
+        assert report.num_failed == 0
+        assert report.num_retried >= 1
+        assert report.num_degraded == 0
+        assert sum(request.retries for request in requests) == report.num_retried
+        assert faults.stats().engine_faults == 1

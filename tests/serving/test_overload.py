@@ -597,11 +597,12 @@ class TestServerOverload:
 
 
 class TestAccountingConservation:
-    def test_every_admitted_request_is_counted_exactly_once(self):
+    @pytest.mark.parametrize("num_workers", [1, 2, 3])
+    def test_every_admitted_request_is_counted_exactly_once(self, num_workers):
         plan = _plan()
         faults = FaultInjector(engine_fault_rate=0.15, seed=11)
         server = Server(
-            plan, num_workers=2, max_batch=4, max_pending=12,
+            plan, num_workers=num_workers, max_batch=4, max_pending=12,
             retry_policy=FAST_RETRIES, faults=faults,
         )
         acts = _acts(36, seed=29)
@@ -661,12 +662,14 @@ class TestAccountingConservation:
 
 
 class TestPlanSwap:
-    def test_mid_traffic_swap_drops_nothing(self):
+    @pytest.mark.parametrize("num_workers", [1, 2, 3])
+    def test_mid_traffic_swap_drops_nothing(self, num_workers):
         served = _plan(seed=23)
         replacement = _plan(seed=23)  # same weights, distinct plan object
         expected = served.layer(LAYER).weight
         acts = _acts(16, seed=41)
-        server = Server(served, num_workers=2, max_batch=4, max_pending=64)
+        server = Server(served, num_workers=num_workers, max_batch=4,
+                        max_pending=64)
         with server:
             before = [server.submit(act) for act in acts[:8]]
             server.swap_plan(replacement)

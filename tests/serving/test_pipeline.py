@@ -18,16 +18,20 @@ import pytest
 from repro.errors import (
     BackpressureError,
     DeadlineExceededError,
+    InjectedFaultError,
     RequestCancelledError,
     ServingError,
+    ShedError,
 )
 from repro.serving import (
+    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     ModelGraph,
     Server,
     compile_workload,
 )
+from repro.serving.request import EXPIRED, FAILED, SHED
 from repro.workloads import LlamaConfig, llama_block_gemms, resnet_stack_gemms
 
 TINY = LlamaConfig("tiny-llama", hidden_size=32, intermediate_size=48,
@@ -61,13 +65,16 @@ def _activations(plan, count, seed=3, cols=1):
 
 
 class TestPipelineParity:
-    def test_llama_block_threads_bit_identical_to_sequential(self):
+    @pytest.mark.parametrize("num_workers,max_batch", [(1, 1), (2, 4), (3, 8)])
+    def test_llama_block_threads_bit_identical_to_sequential(
+        self, num_workers, max_batch
+    ):
         plan = _block_plan()
         assert plan.graph.layers == (
             "qkv_proj", "attn_score", "o_proj", "gate_proj", "down_proj"
         )
         activations = _activations(plan, 12, cols=2)
-        with Server(plan, num_workers=2, max_batch=4,
+        with Server(plan, num_workers=num_workers, max_batch=max_batch,
                     max_pending=32) as server:
             requests = [server.submit(act) for act in activations]
             outputs = [r.result(timeout=30.0) for r in requests]
@@ -121,19 +128,20 @@ class TestPipelineStream:
 
 
 class TestPipelineFaults:
-    def _crash_server(self, plan):
+    def _crash_server(self, plan, crash_at):
         faults = FaultInjector(
-            plan=FaultPlan(worker_crashes_at=frozenset({1})), seed=7
+            plan=FaultPlan(worker_crashes_at=frozenset({crash_at})), seed=7
         )
         return Server(
             plan, num_workers=2, max_batch=2, max_pending=16,
             faults=faults, max_worker_restarts=4,
         )
 
-    def test_mid_pipeline_worker_kill_requeues_threads(self):
+    @pytest.mark.parametrize("crash_at", [1, 4])
+    def test_mid_pipeline_worker_kill_requeues_threads(self, crash_at):
         plan = _block_plan()
         activations = _activations(plan, 6, seed=13)
-        with self._crash_server(plan) as server:
+        with self._crash_server(plan, crash_at) as server:
             requests = [server.submit(act) for act in activations]
             outputs = [r.result(timeout=60.0) for r in requests]
             assert server.faults.stats().worker_crashes == 1
@@ -202,6 +210,54 @@ class TestPipelineDeadlinesAndCancel:
             with pytest.raises(RequestCancelledError):
                 second.result(timeout=1.0)
         assert server.report().num_cancelled >= 1
+
+
+class TestPipelineTerminalStates:
+    """A model request ends in the terminal state of the stage that stopped it."""
+
+    @pytest.mark.parametrize("outcome", ["failed", "shed", "expired"])
+    def test_mid_pipeline_stage_outcome_is_the_model_outcome(self, outcome):
+        plan = _block_plan()
+        activation = _activations(plan, 1, seed=41)[0]
+        # Batch hook #2 is stage 1 (attn_score) of the only request in flight.
+        stage1_fault = FaultPlan(engine_faults_at=frozenset({2}))
+        options = {"retry_policy": None, "admission_control": False}
+        deadline_s = None
+        if outcome == "failed":
+            options.update(
+                degraded_fallback=False, faults=FaultInjector(plan=stage1_fault)
+            )
+            error, state = InjectedFaultError, FAILED
+        elif outcome == "shed":
+            # One fast-path failure trips the breaker open, so the failing
+            # stage is shed instead of taking the degraded oracle.
+            options.update(
+                degraded_breaker=CircuitBreaker(failure_threshold=1, cooldown_s=60.0),
+                faults=FaultInjector(plan=stage1_fault),
+            )
+            error, state = ShedError, SHED
+        else:
+            # Stage 0 runs past the model deadline; stage 1 expires queued.
+            options.update(
+                faults=FaultInjector(plan=FaultPlan(latency_at={1: 0.3}))
+            )
+            deadline_s = 0.1
+            error, state = DeadlineExceededError, EXPIRED
+        with Server(plan, num_workers=1, max_batch=1, max_pending=4,
+                    **options) as server:
+            request = server.submit(activation, deadline_s=deadline_s)
+            with pytest.raises(error):
+                request.result(timeout=10.0)
+        assert request.done()
+        assert request.state == state
+        assert request.steps_completed == 0
+        report = server.report()
+        assert report.requests_per_layer == {"qkv_proj": 1}
+        assert report.num_model_requests == 0
+        assert report.num_model_failed == 1
+        assert (report.num_failed, report.num_shed, report.num_expired) == (
+            int(state == FAILED), int(state == SHED), int(state == EXPIRED)
+        )
 
 
 class TestPipelineReport:

@@ -267,6 +267,144 @@ class TestSubmitMany:
         with pytest.raises(ServingError):
             server.submit_many(activations=[])
 
+    def test_submit_many_pipelines_every_member_through_the_chain(self):
+        plan = _chain_plan()
+        acts = _activations(plan, 8, seed=21)
+        with Server(plan, num_workers=2, max_batch=4) as server:
+            requests = server.submit_many(activations=acts)
+            for request, act in zip(requests, acts):
+                assert request.pipeline_depth == 2
+                assert np.array_equal(
+                    request.result(timeout=60.0), _chain_reference(plan, act)
+                )
+        report = server.report()
+        assert report.num_model_requests == 8
+        assert report.requests_per_layer == {"layer0": 8, "layer1": 8}
+
+    def test_submit_many_streams_every_member_at_its_priority(self):
+        workload = synthetic_gemm_workload(num_layers=1, n=12, k=12, m=4, weight_bits=3)
+        plan = compile_workload(workload, seed=5)
+        weight = plan.layer("layer0").weight
+        acts = _activations(plan, 4, columns=2, seed=22)
+        with Server(plan, num_workers=2, max_batch=4) as server:
+            requests = server.submit_many(activations=acts, stream=3, priority=1)
+            for request, act in zip(requests, acts):
+                assert request.priority == 1 and request.num_steps == 3
+                outputs = request.outputs(timeout=60.0)
+                assert len(outputs) == 3
+                expected = act
+                for output in outputs:
+                    expected = weight @ expected
+                    assert np.array_equal(output, expected)
+        assert server.report().requests_per_layer == {"layer0": 12}
+
+    def test_submit_many_validates_model_level_options(self, plan):
+        acts = _activations(plan, 3, seed=23)
+        with Server(plan, num_workers=1) as server:
+            with pytest.raises(ServingError, match="serves model"):
+                server.submit_many(activations=acts, model="some-other-model")
+            with pytest.raises(ServingError, match="priority"):
+                server.submit_many(activations=acts, priority=-1)
+            with pytest.raises(ServingError, match="stream"):
+                server.submit_many(activations=acts, stream=0)
+            assert len(server.queue) == 0
+            assert server.queue.rejected == 0
+        assert server.report().num_requests == 0
+
+
+def _chain_plan(num_layers=2, n=12, k=12, seed=13):
+    workload = synthetic_gemm_workload(
+        num_layers=num_layers, n=n, k=k, m=4, weight_bits=5
+    )
+    return compile_workload(workload, seed=seed, graph="chain")
+
+
+def _chain_reference(plan, activation):
+    output = activation
+    for name in plan.layer_names():
+        output = plan.layer(name).weight @ output
+    return output
+
+
+class TestThreadTier:
+    """The one execution tier: supervised worker threads over the queue."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return _chain_plan()
+
+    @pytest.mark.parametrize("num_workers,max_batch", [
+        (1, 1), (1, 4), (2, 2), (3, 4), (4, 8),
+    ])
+    def test_outputs_match_the_dense_reference(self, plan, num_workers, max_batch):
+        acts = _activations(plan, 12, seed=10 * num_workers + max_batch)
+        with Server(
+            plan, num_workers=num_workers, max_batch=max_batch, max_pending=64
+        ) as server:
+            requests = [server.submit(act) for act in acts]
+            outputs = [request.result(timeout=60.0) for request in requests]
+        for act, output in zip(acts, outputs):
+            assert np.array_equal(output, _chain_reference(plan, act))
+        report = server.report()
+        assert report.num_model_requests == 12
+        assert report.num_failed == 0
+        assert 1 <= report.max_batch_size <= max_batch
+        assert len(report.shards) == num_workers
+        assert sum(shard.requests for shard in report.shards) == 24
+
+    def test_health_counts_live_worker_threads(self, plan):
+        with Server(plan, num_workers=3) as server:
+            health = server.health()
+            assert health.num_workers == health.alive_workers == 3
+            assert health.healthy
+            names = {thread.name for thread in threading.enumerate()}
+            assert {f"serving-worker-{i}" for i in range(3)} <= names
+            assert "serving-supervisor" in names
+            summary = health.as_dict()
+            assert summary["alive_workers"] == 3
+            assert not {"execution", "alive_shards"} & set(summary)
+        assert server.health().alive_workers == 0
+
+    def test_start_is_idempotent_until_close(self, plan):
+        server = Server(plan, num_workers=2)
+        try:
+            assert server.start() is server
+            workers = [slot.thread for slot in server._slots]
+            assert server.start() is server
+            assert [slot.thread for slot in server._slots] == workers
+            assert server.health().alive_workers == 2
+        finally:
+            server.close()
+
+    def test_close_is_idempotent_and_stops_every_thread(self, plan):
+        server = Server(plan, num_workers=2).start()
+        threads = [slot.thread for slot in server._slots] + [server._supervisor]
+        act = _activations(plan, 1, seed=31)[0]
+        assert np.array_equal(
+            server.submit(act).result(timeout=30.0), _chain_reference(plan, act)
+        )
+        server.close()
+        assert not any(thread.is_alive() for thread in threads)
+        server.close()  # second close: no-op
+        assert server.report().num_model_requests == 1
+        with pytest.raises(ServingError, match="closed"):
+            server.start()
+
+    @pytest.mark.parametrize("option", [
+        {"num_workers": 0},
+        {"num_workers": -1},
+        {"max_batch": 0},
+        {"max_pending": 0},
+        {"max_worker_restarts": -1},
+    ], ids=lambda option: "-".join(f"{k}={v}" for k, v in option.items()))
+    def test_invalid_configuration_is_rejected(self, plan, option):
+        with pytest.raises(ServingError):
+            Server(plan, **option)
+
+    def test_restart_budget_defaults_to_twice_the_workers(self, plan):
+        assert Server(plan, num_workers=3).max_worker_restarts == 6
+        assert Server(plan, num_workers=3, max_worker_restarts=0).max_worker_restarts == 0
+
 
 class TestLlamaFcAcceptance:
     """ISSUE 2 acceptance: 64 concurrent requests on a LLaMA-7B FC plan.
