@@ -10,7 +10,10 @@ Two measurements anchor the performance trajectory of the engine:
   time split into scoreboard and kernel-build seconds, the interpreted
   planned path, and the planned path through ``exact_matmul`` (the serving
   hot path).  The planned gate asserts the exact-BLAS kernel beats the
-  interpreted planned path.
+  interpreted planned path;
+* ``column_sweep``: float32 vs float64 BLAS product time over 1-256 columns
+  on the same layer's weights, the measurement behind ``exact_matmul``'s
+  choice between float32 and float64 limbs (recorded, not gated).
 
 Two scales share the harness (``--scale``):
 
@@ -64,6 +67,8 @@ SCALES = {
 }
 #: Absolute floor: fast path vs the scalar oracle, every scale.
 SPEEDUP_GATE = 10.0
+#: Activation widths of the float32/float64 column sweep.
+SWEEP_COLUMNS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 #: Regression bound: a fresh speedup may not fall below this fraction of the
 #: checked-in baseline's (generous — CI machines vary widely).
 REGRESSION_FACTOR = 0.4
@@ -171,13 +176,31 @@ def bench_llama_fc(shape):
         "plan_compile_s": plan_compile_s,
         "scoreboard_s": plan_compile_s - plan.kernel_build_s,
         "kernel_build_s": plan.kernel_build_s,
-        "kernel_bytes": plan.weight_f64.nbytes,
+        "kernel_bytes": plan.kernel_bytes,
         "planned_s": planned_s,
         "interpreted_planned_s": interpreted_s,
         "planned_speedup_vs_interpreted": interpreted_s / planned_s,
         "total_transrows": report.op_counts.total_transrows,
         "density": report.op_counts.density,
     }
+
+
+def bench_column_sweep(shape):
+    """Best-of-3 float32 and float64 BLAS product time per activation width."""
+    n, k, _ = shape
+    rng = np.random.default_rng(2)
+    weight, activation = _random_gemm(rng, n, k, max(SWEEP_COLUMNS), weight_bits=8)
+    sweep = {"shape": [n, k], "columns": list(SWEEP_COLUMNS),
+             "float32_s": [], "float64_s": []}
+    for dtype, key in ((np.float32, "float32_s"), (np.float64, "float64_s")):
+        weight_f = weight.astype(dtype)
+        for columns in SWEEP_COLUMNS:
+            x = activation[:, :columns].astype(dtype)
+            sweep[key].append(_time(lambda: weight_f @ x, repeats=3)[0])
+    sweep["float32_over_float64"] = [
+        f32 / f64 for f32, f64 in zip(sweep["float32_s"], sweep["float64_s"])
+    ]
+    return sweep
 
 
 def run(scale: str = "full", write: bool = True) -> dict:
@@ -188,6 +211,7 @@ def run(scale: str = "full", write: bool = True) -> dict:
         "blas_threads_env": blas_env.blas_threads_env(),
         "speedup_1024": bench_speedup(config["speedup_shape"]),
         "llama_fc_4096": bench_llama_fc(config["llama_shape"]),
+        "column_sweep": bench_column_sweep(config["llama_shape"]),
     }
     if write:
         output_path(scale).write_text(json.dumps(results, indent=2) + "\n")
@@ -253,7 +277,15 @@ def _print_results(scale, results):
           f"-> {llama['planned_speedup_vs_interpreted']:.2f}x "
           f"(compile: scoreboard {llama['scoreboard_s']:.3f} s, "
           f"kernel build {llama['kernel_build_s'] * 1e3:.1f} ms, "
-          f"{llama['kernel_bytes'] / 1024:.0f} KiB)")
+          f"{llama['kernel_bytes'] / 1024:.0f} KiB float32+float64)")
+    sweep = results["column_sweep"]
+    print(f"[{scale}] {'x'.join(map(str, sweep['shape']))} BLAS product by "
+          f"columns: float32 ms / float64 ms (ratio)")
+    for columns, f32, f64, ratio in zip(
+        sweep["columns"], sweep["float32_s"], sweep["float64_s"],
+        sweep["float32_over_float64"],
+    ):
+        print(f"  {columns:4d}  {f32 * 1e3:9.3f}  {f64 * 1e3:9.3f}  ({ratio:.2f})")
     print(f"wrote {output_path(scale)}")
 
 

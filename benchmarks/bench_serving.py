@@ -2,8 +2,8 @@
 """Serving-runtime benchmark over a compiled model plan.
 
 Compiles one layer into a :class:`~repro.serving.ModelPlan` (the compiled
-plan carries each layer's float64 kernel weights and row bound for the exact
-BLAS product), then measures:
+plan carries each layer's float32 and float64 kernel weights and row bound
+for the exact BLAS product), then measures:
 
 * **batched serving**: concurrent single-column requests through the
   thread-pool server and micro-batcher — throughput and p50/p95/p99 latency
@@ -176,9 +176,12 @@ def bench_serving(plan, layer_name):
 
 
 def _kernel_state_layers(plan) -> int:
-    """Layers whose plan pins float64 kernel weights of the layer's shape."""
+    """Layers whose plan pins float32 and float64 kernel weights of the
+    layer's shape."""
     return sum(
-        plan.layer(name).gemm_plan.weight_f64.shape == plan.layer(name).weight.shape
+        plan.layer(name).gemm_plan.weight_f32.shape
+        == plan.layer(name).gemm_plan.weight_f64.shape
+        == plan.layer(name).weight.shape
         for name in plan.layer_names()
     )
 
@@ -872,7 +875,7 @@ def _print_results(scale, results):
     print(f"[{scale}] {results['model']} {results['layer']} "
           f"(INT{WEIGHT_BITS}): compile {results['compile_s']:.2f}s "
           f"(kernel build {compile_stats['lowering_s'] * 1e3:.1f} ms, "
-          f"{compile_stats['kernel_bytes'] / 1024:.0f} KiB float64 weights)")
+          f"{compile_stats['kernel_bytes'] / 1024:.0f} KiB float32+float64 weights)")
     print(f"batched   : {serving['throughput_rps']:.1f} req/s, "
           f"p50 {serving['latency_p50_s'] * 1e3:.0f} ms, "
           f"p99 {serving['latency_p99_s'] * 1e3:.0f} ms, "

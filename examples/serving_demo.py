@@ -3,8 +3,8 @@
 
 Compiles the Q projection of the LLaMA-7B Transformer block (INT4 weights)
 into a :class:`~repro.serving.ModelPlan` — the weights are bit-sliced and
-static-scoreboarded once, offline, and a float64 copy is pinned for the exact
-BLAS product — then spins up the thread-pool server and
+static-scoreboarded once, offline, and float32 and float64 copies are pinned
+for the exact BLAS product — then spins up the thread-pool server and
 fires concurrent model-level requests at it from client threads.  A
 single-layer plan serves as an implicit one-stage pipeline, so
 ``server.submit(activation)`` needs no layer name.  The micro-batcher
@@ -43,7 +43,7 @@ def main() -> None:
           f"density {plan.op_counts.density:.1%})")
     stats = plan.compile_stats
     print(f"  exact-BLAS kernel built in {stats.lowering_s * 1e3:.1f} ms "
-          f"({stats.kernel_bytes / 1024:.1f} KiB of float64 weights)\n")
+          f"({stats.kernel_bytes / 1024:.1f} KiB of float32+float64 weights)\n")
 
     rng = np.random.default_rng(0)
     shape = plan.layer(LAYER).shape

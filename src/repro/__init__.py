@@ -5,7 +5,8 @@ The library exposes four layers:
 * algorithmic substrate — :mod:`repro.quant`, :mod:`repro.bitslice`,
   :mod:`repro.hasse`, :mod:`repro.scoreboard`;
 * the paper's contribution in functional form — :mod:`repro.core`, whose
-  compiled plans serve through one exact float64-BLAS product;
+  compiled plans serve through one exact float32- or float64-BLAS product
+  per batch;
 * the architectural simulator — :mod:`repro.transarray`, :mod:`repro.baselines`,
   :mod:`repro.memory`, :mod:`repro.energy`;
 * the evaluation harness — :mod:`repro.workloads`, :mod:`repro.analysis`.

@@ -100,7 +100,7 @@ def format_serving_report(report: "ServingReport") -> str:
             ("offline compile", f"{stats.compile_s * 1e3:.1f} ms "
                                 f"({stats.lowering_s * 1e3:.1f} ms kernel build)")
         )
-        rows.append(("kernel weights (float64)", f"{stats.kernel_bytes / 1024:.1f} KiB"))
+        rows.append(("kernel weights (float32+float64)", f"{stats.kernel_bytes / 1024:.1f} KiB"))
     if report.num_shed or report.num_admission_shed:
         rows.append(
             ("requests shed (overload)",

@@ -27,8 +27,8 @@ Two execution paths produce identical outputs and identical
 
 On top of both, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
 **once, offline** into a :class:`GemmPlan`: the scoreboard's packed TransRows
-and exact OpCounts, plus a read-only float64 copy of the weights and their
-static row bound ``B = max_row sum|w|``.  Planned execution
+and exact OpCounts, plus read-only float32 and float64 copies of the weights
+and their static row bound ``B = max_row sum|w|``.  Planned execution
 (:meth:`TransitiveGemmEngine.multiply_planned`,
 :meth:`TransitiveGemmEngine.multiply_many`) serves ``weight @ activation``
 through :func:`exact_matmul`, which picks the fastest arithmetic the bound
@@ -65,11 +65,17 @@ from .metrics import OpCounts, op_counts_from_result
 #: gathers stay within this budget.
 _FAST_BLOCK_BUDGET_BYTES = 64 * 1024 * 1024
 
-#: Magnitude bounds of the planned product's arithmetic tiers: integers below
-#: 2**53 are exact in float64; two float64 limbs cover results below 2**62.
-_FLOAT64_EXACT = 1 << 53
-_TWO_LIMB_EXACT = 1 << 62
+#: Mantissa bits of the float32 and float64 BLAS products: every integer of
+#: magnitude below ``2**mantissa`` is exact in that float type.
+_FLOAT32_MANTISSA = 24
+_FLOAT64_MANTISSA = 53
 _INT64_EXACT = 1 << 63
+#: Cost model of one stacked BLAS call, from the float32/float64 column sweep
+#: of ``benchmarks/bench_perf_gemm.py``: GEMM time stays nearly flat up to
+#: this many columns (the weights are read once either way) ...
+_FLAT_COLUMNS = 16
+#: ... and beyond it a float32 column costs at most 1/this of a float64 one.
+_FLOAT32_COLUMNS_PER_FLOAT64 = 2
 
 
 @dataclass
@@ -116,10 +122,11 @@ class GemmPlan:
     to the product itself, which is what a serving runtime needs on its
     per-request hot path.
 
-    The product runs through :func:`exact_matmul` on ``weight_f64``, a
-    read-only float64 copy of the weights, certified exact by the static row
-    bound ``row_bound = max_row sum|w|`` (a Python int).  Outputs stay
-    bit-identical to the scalar oracle and the OpCounts stay the scoreboard's.
+    The product runs through :func:`exact_matmul` on ``weight_f32`` or
+    ``weight_f64``, read-only float copies of the weights, certified exact by
+    the static row bound ``row_bound = max_row sum|w|`` (a Python int).
+    Outputs stay bit-identical to the scalar oracle and the OpCounts stay the
+    scoreboard's.
     """
 
     weight: np.ndarray
@@ -128,10 +135,16 @@ class GemmPlan:
     max_distance: int
     packed: np.ndarray
     op_counts: OpCounts
+    weight_f32: np.ndarray
     weight_f64: np.ndarray
     row_bound: int
-    #: Seconds spent building ``weight_f64`` and ``row_bound``.
+    #: Seconds spent building the float copies and ``row_bound``.
     kernel_build_s: float = 0.0
+
+    @property
+    def kernel_bytes(self) -> int:
+        """Bytes of the two pinned float weight copies."""
+        return self.weight_f32.nbytes + self.weight_f64.nbytes
 
     @property
     def n(self) -> int:
@@ -159,36 +172,73 @@ def _peak(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
+def _limb_count(bound: int, peak: int, mantissa: int) -> Optional[int]:
+    """Fewest limbs for which ``mantissa``-bit float products are exact.
+
+    Limbs are ``s = mantissa - bitlen(bound)`` bits wide: the low limbs
+    ``(x >> s*i) & (2**s - 1)`` lie in ``[0, 2**s)``, so ``bound * (2**s - 1)
+    < 2**mantissa`` bounds every partial sum of their products; the signed top
+    limb ``x >> s*(L-1)`` is bounded by ``ceil(peak / 2**(s*(L-1)))``, and
+    ``L`` is the smallest count that keeps ``bound`` times that below
+    ``2**mantissa`` too.  ``None`` when no limb width is exact (``s < 1``).
+    """
+    limit = 1 << mantissa
+    if bound * peak < limit:
+        return 1
+    shift = mantissa - bound.bit_length()
+    if shift < 1:
+        return None
+    limbs = 2
+    while bound * -(-peak >> (shift * (limbs - 1))) >= limit:
+        limbs += 1
+    return limbs
+
+
 def exact_matmul(plan: GemmPlan, x: np.ndarray) -> np.ndarray:
     """``plan.weight @ x`` for an int64 ``x``, exact wherever int64 holds it.
 
-    The arithmetic is chosen per call from ``B * p``, where ``B`` is the
-    plan's row bound and ``p`` the peak ``|x|``; every product and partial sum
-    is bounded by it:
+    The arithmetic is chosen per call from the plan's row bound ``B`` and the
+    batch's peak ``p = max|x|``.  ``x`` is cut into ``L`` limbs of ``s`` bits
+    (see :func:`_limb_count`) whose products are exact in a float of mantissa
+    ``m``: 24 bits on ``plan.weight_f32``, 53 on ``plan.weight_f64``.  The
+    ``L`` limbs of the ``c`` columns go side by side into **one** BLAS call of
+    ``L * c`` columns, and ``sum_i (W @ limb_i) << s*i`` is added in uint64,
+    which wraps exactly like the int64 product does.
 
-    * ``B * p < 2**53``: one float64 BLAS product.  Every partial sum is an
-      integer float64 holds exactly, in any summation order.
-    * ``B * p < 2**62``: ``x = hi * 2**s + lo`` with ``0 <= lo < 2**s``, where
-      ``s`` keeps ``B * max|lo|`` and ``B * max|hi|`` below ``2**53``.  Both
-      limbs run as exact float64 products, and ``(W @ hi << s) + W @ lo``
-      is added in int64, which holds the exact result.
-    * otherwise (or when no such ``s`` exists): the int64 product, which
-      wraps modulo ``2**64`` like every other int64 path in the library.
+    float32 runs iff ``max(L32 * c, 16) <= 2 * max(L64 * c, 16)`` (or float64
+    has no exact split): a call costs about the same up to 16 columns, and a
+    float32 column at most half a float64 one beyond.  When neither width
+    splits exactly (``bitlen(B) >= 53`` and ``B * p >= 2**53``) the int64
+    product runs instead, wrapping modulo ``2**64`` like every other int64
+    path in the library.
     """
+    columns = x.shape[1]
     peak = _peak(x)
-    bound = plan.row_bound * peak
-    if bound < _FLOAT64_EXACT:
-        return (plan.weight_f64 @ x.astype(np.float64)).astype(np.int64)
-    if bound < _TWO_LIMB_EXACT:
-        shift = max(0, 53 - plan.row_bound.bit_length())
-        hi_peak = -(-peak >> shift)  # ceil(p / 2**s) bounds |x >> s|
-        if plan.row_bound * hi_peak < _FLOAT64_EXACT:
-            hi = x >> shift
-            lo = x & ((1 << shift) - 1)
-            hi_part = (plan.weight_f64 @ hi.astype(np.float64)).astype(np.int64)
-            lo_part = (plan.weight_f64 @ lo.astype(np.float64)).astype(np.int64)
-            return (hi_part << shift) + lo_part
-    return np.asarray(plan.weight, dtype=np.int64) @ x
+    bound = plan.row_bound
+    limbs32 = _limb_count(bound, peak, _FLOAT32_MANTISSA)
+    limbs64 = _limb_count(bound, peak, _FLOAT64_MANTISSA)
+    if limbs32 is not None and (
+        limbs64 is None
+        or max(limbs32 * columns, _FLAT_COLUMNS)
+        <= _FLOAT32_COLUMNS_PER_FLOAT64 * max(limbs64 * columns, _FLAT_COLUMNS)
+    ):
+        weight, limbs, mantissa = plan.weight_f32, limbs32, _FLOAT32_MANTISSA
+    elif limbs64 is not None:
+        weight, limbs, mantissa = plan.weight_f64, limbs64, _FLOAT64_MANTISSA
+    else:
+        return np.asarray(plan.weight, dtype=np.int64) @ x
+    if limbs == 1:
+        return (weight @ x.astype(weight.dtype)).astype(np.int64)
+    shift = mantissa - bound.bit_length()
+    stacked = np.empty((x.shape[0], limbs * columns), dtype=weight.dtype)
+    for i in range(limbs - 1):
+        stacked[:, i * columns:(i + 1) * columns] = (x >> (shift * i)) & ((1 << shift) - 1)
+    stacked[:, (limbs - 1) * columns:] = x >> (shift * (limbs - 1))
+    parts = (weight @ stacked).astype(np.int64).view(np.uint64)
+    output = parts[:, :columns].copy()
+    for i in range(1, limbs):
+        output += parts[:, i * columns:(i + 1) * columns] << np.uint64(shift * i)
+    return output.view(np.int64)
 
 
 @dataclass(eq=False)
@@ -352,8 +402,8 @@ class TransitiveGemmEngine:
         """Precompute the static scoreboard of one weight matrix, offline.
 
         Bit-slices, packs and scoreboards the weights exactly once and returns
-        a :class:`GemmPlan` handle, which also pins the float64 weights and
-        row bound :func:`exact_matmul` serves from.  Executions against the
+        a :class:`GemmPlan` handle, which also pins the float32 and float64
+        weights and the row bound :func:`exact_matmul` serves from.  Executions against the
         handle (:meth:`multiply_planned`, :meth:`multiply_many`) skip the
         per-call weight fingerprint and all weight-side work; the LRU cache is
         warmed as a side effect so plain :meth:`multiply` calls with the same
@@ -370,6 +420,8 @@ class TransitiveGemmEngine:
         packed, counts, _ = self._packed_transrows_cached(weight, weight_bits)
         packed.setflags(write=False)  # shared with the LRU cache; never written
         start = time.perf_counter()
+        weight_f32 = weight.astype(np.float32)
+        weight_f32.setflags(write=False)
         weight_f64 = weight.astype(np.float64)
         weight_f64.setflags(write=False)
         row_bound = _row_bound(weight)
@@ -380,6 +432,7 @@ class TransitiveGemmEngine:
             max_distance=self.max_distance,
             packed=packed,
             op_counts=counts,
+            weight_f32=weight_f32,
             weight_f64=weight_f64,
             row_bound=row_bound,
             kernel_build_s=time.perf_counter() - start,

@@ -5,8 +5,8 @@ scoreboard* was designed for: compile once, serve forever.
 
 * :mod:`repro.serving.plan` — offline compilation of any
   :class:`~repro.workloads.gemm.GemmWorkload` into a :class:`ModelPlan`
-  (per-layer weights bit-sliced and scoreboarded once, with a float64 copy
-  and row bound pinned for the exact-BLAS product — optionally per-layer
+  (per-layer weights bit-sliced and scoreboarded once, with float32 and
+  float64 copies and a row bound pinned for the exact-BLAS product — optionally per-layer
   mixed precision via ``quant_schemes=`` — with :class:`CompileStats`
   recording what that cost);
 * :mod:`repro.serving.graph` — the :class:`ModelGraph` of declared

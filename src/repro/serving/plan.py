@@ -49,10 +49,10 @@ class CompileStats:
     num_layers: int
     #: Total wall-clock seconds of offline compilation (plan + kernel build).
     compile_s: float
-    #: Seconds of ``compile_s`` spent building the layers' float64 weights and
+    #: Seconds of ``compile_s`` spent building the layers' float weights and
     #: row bounds; the name stays so existing readers of the stats keep it.
     lowering_s: float
-    #: Bytes of float64 kernel weights pinned across all layers.
+    #: Bytes of float32 and float64 kernel weights pinned across all layers.
     kernel_bytes: int
     #: Per-layer compile seconds, in compilation order.
     per_layer_compile_s: Dict[str, float]
@@ -433,7 +433,7 @@ def compile_workload(
         num_layers=len(layers),
         compile_s=time.perf_counter() - compile_start,
         lowering_s=sum(layer.gemm_plan.kernel_build_s for layer in layers),
-        kernel_bytes=sum(layer.gemm_plan.weight_f64.nbytes for layer in layers),
+        kernel_bytes=sum(layer.gemm_plan.kernel_bytes for layer in layers),
         per_layer_compile_s=per_layer_compile_s,
         per_layer_bits=per_layer_bits,
         per_layer_scheme=per_layer_scheme,

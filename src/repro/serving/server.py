@@ -51,8 +51,8 @@ layer:
   plan (weight update) without dropping or reordering a single admitted
   request.
 
-There is one execution tier: the worker threads run the exact float64-BLAS
-product themselves, which releases the GIL, and ``start()`` pins BLAS to one
+There is one execution tier: the worker threads run the exact float-BLAS
+product (:func:`~repro.core.exact_matmul`) themselves, which releases the GIL, and ``start()`` pins BLAS to one
 thread so the workers do not oversubscribe the cores.
 
 Every request is **whole-model**: ``submit(activation)`` routes one request

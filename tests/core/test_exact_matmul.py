@@ -1,9 +1,11 @@
-"""The planned product: exact float64 BLAS, two float64 limbs, or int64.
+"""The planned product: float32 or float64 limbs in one BLAS call, or int64.
 
 Every result is checked against the Python-int product of the operands: equal
 to it wherever it fits int64, and equal to its int64 wrap beyond that.  The
 bound edges are hit exactly: an activation column of ``p * sign(w)`` against
-the row attaining ``B = max_row sum|w|`` makes that output ``B * p``.
+the row attaining ``B = max_row sum|w|`` makes that output ``B * p``.  Besides
+those ``B * p`` edges, the peaks on either side of every limb-count step of
+both float widths are drawn (:func:`limb_edges`).
 """
 
 import numpy as np
@@ -18,14 +20,32 @@ from repro.core.transitive_gemm import _row_bound
 INT64_MIN = np.iinfo(np.int64).min
 INT64_MAX = np.iinfo(np.int64).max
 
-#: ``B * p`` targets: the float64 bound, the two-limb bound, and int64 wrap.
+#: ``B * p`` targets: the float32 and float64 one-limb bounds, the old
+#: two-limb bound, and int64 wrap.
 EDGES = (
+    2**24 - 1, 2**24, 2**24 + 1,
     2**53 - 1, 2**53, 2**53 + 1,
     2**62 - 1, 2**62, 2**62 + 1,
     2**63 - 1, 2**63, 2**64 + 1,
 )
 
 ENGINE = TransitiveGemmEngine(transrow_bits=4, scoreboard_cache_entries=0)
+
+
+def limb_edges(bound: int) -> list:
+    """Peaks at the last ``L``-limb batch and the first ``L + 1``-limb batch.
+
+    With limbs of ``s = m - bitlen(B)`` bits, ``L`` limbs of an ``m``-bit
+    float are exact iff ``p <= top * 2**(s*(L-1))``, ``top = (2**m - 1) // B``.
+    """
+    peaks = []
+    for mantissa in (24, 53):
+        shift = mantissa - bound.bit_length()
+        top = ((1 << mantissa) - 1) // bound
+        for step in range(64 // shift + 1 if shift >= 1 else 1):
+            last = top << (shift * step)
+            peaks += [p for p in (last, last + 1) if 0 < p <= INT64_MAX]
+    return peaks
 
 
 def expected_product(weight: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -57,10 +77,13 @@ def edge_cases(draw):
     if not weight.any():
         weight[0, 0] = 1
     bound = _row_bound(weight)
-    target = draw(st.sampled_from(EDGES))
-    # The floor and the ceiling of target / B put B * p on either side of it.
-    peak = draw(st.sampled_from((target // bound, -(-target // bound))))
-    peak = min(peak, INT64_MAX)
+    if draw(st.booleans()):
+        peak = draw(st.sampled_from(limb_edges(bound)))
+    else:
+        target = draw(st.sampled_from(EDGES))
+        # The floor and the ceiling of target / B put B * p on either side of it.
+        peak = draw(st.sampled_from((target // bound, -(-target // bound))))
+        peak = min(peak, INT64_MAX)
     extra = draw(arrays(
         np.int64, (k, draw(st.integers(0, 3))),
         elements=st.integers(-peak, peak),
@@ -88,6 +111,18 @@ class TestBoundEdges:
         plan = ENGINE.plan(weight, 4)
         assert_exact(weight, x, ENGINE.multiply_planned(plan, x).output)
 
+    @pytest.mark.parametrize("row", [[1], [1, 1, 1], [3, -2, 7, -1], [7] * 40])
+    @pytest.mark.parametrize("columns", [1, 5, 16, 40])
+    def test_every_limb_count_step(self, row, columns):
+        weight = np.array([row], dtype=np.int64)
+        plan = ENGINE.plan(weight, 4)
+        rng = np.random.default_rng(len(row) * columns)
+        for peak in limb_edges(plan.row_bound):
+            extra = rng.integers(-peak, peak, size=(len(row), columns - 1),
+                                 dtype=np.int64, endpoint=True)
+            x = edge_activation(weight, peak, extra)
+            assert_exact(weight, x, ENGINE.multiply_planned(plan, x).output)
+
 
 def kernel_plan(weight: np.ndarray) -> GemmPlan:
     """A plan holding only what :func:`exact_matmul` reads, for weights too
@@ -96,16 +131,17 @@ def kernel_plan(weight: np.ndarray) -> GemmPlan:
     return GemmPlan(
         weight=weight, weight_bits=64, transrow_bits=8, max_distance=4,
         packed=np.zeros((0, 0, 0), dtype=np.uint16), op_counts=None,
-        weight_f64=weight.astype(np.float64), row_bound=_row_bound(weight),
+        weight_f32=weight.astype(np.float32), weight_f64=weight.astype(np.float64),
+        row_bound=_row_bound(weight),
     )
 
 
 class TestWideWeights:
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), bits=st.integers(1, 50))
+    @given(data=st.data(), bits=st.integers(1, 60))
     def test_wide_bounds_fall_back_to_int64_when_limbs_are_inexact(self, data, bits):
-        # With B near 2**45 and beyond, no split of x keeps both limbs below
-        # 2**53, so the product must leave the float64 tiers.
+        # Past bitlen(B) = 24 no float32 limb is exact, and past 52 no float64
+        # limb is either, so the product must leave the float tiers.
         k = data.draw(st.integers(1, 5))
         weight = data.draw(arrays(
             np.int64, (2, k), elements=st.integers(-(2**bits), 2**bits)
@@ -114,7 +150,9 @@ class TestWideWeights:
             weight[0, 0] = 1
         bound = _row_bound(weight)
         target = data.draw(st.sampled_from(EDGES))
-        peak = min(data.draw(st.sampled_from((target // bound, -(-target // bound)))), INT64_MAX)
+        peak = min(data.draw(st.sampled_from(
+            (target // bound, -(-target // bound), *limb_edges(bound))
+        )), INT64_MAX)
         extra = data.draw(arrays(
             np.int64, (k, 2), elements=st.integers(-peak, peak)
         ))
@@ -123,11 +161,30 @@ class TestWideWeights:
 
     @pytest.mark.parametrize("value", [16383, -1050, 1050])
     def test_limbs_are_certified_not_assumed(self, value):
-        # B = 2**48 - 3 puts B * p below 2**62, yet W @ (x >> s) is an odd
-        # integer past 2**53: the high limb must be bounded by ceil(p / 2**s)
-        # and fall back to int64, or float64 rounds it.
+        # B = 2**48 - 3 gives 5-bit float64 limbs, and with two limbs
+        # W @ (x >> 5) is an odd integer past 2**53: the top limb must be
+        # bounded by ceil(p / 2**(s*(L-1))), which takes a third limb here,
+        # or float64 rounds it.
         weight = np.array([[2**47 - 1, 2**47 - 2]], dtype=np.int64)
         x = np.full((2, 1), value, dtype=np.int64)
+        assert_exact(weight, x, exact_matmul(kernel_plan(weight), x))
+
+
+class TestRecombination:
+    @pytest.mark.parametrize(
+        "row, value",
+        [
+            ([7, 7, 7, 7], 2**61 + 1),  # four float32 limbs
+            ([7, 7, 7, 7], -(2**61) - 3),
+            ([2**30, 2**30 - 1], 2**40 + 5),  # two float64 limbs
+            ([2**30, 2**30 - 1], INT64_MIN),
+        ],
+    )
+    def test_limb_sum_wraps_like_the_int64_product(self, row, value):
+        weight = np.array([row], dtype=np.int64)
+        x = np.full((len(row), 2), value, dtype=np.int64)
+        x[-1, 1] = 3
+        assert abs((weight.astype(object) @ x.astype(object))[0, 0]) >= 2**63
         assert_exact(weight, x, exact_matmul(kernel_plan(weight), x))
 
 
@@ -175,6 +232,9 @@ class TestPlanKernelState:
         assert plan.weight_f64.dtype == np.float64
         assert not plan.weight_f64.flags.writeable
         assert np.array_equal(plan.weight_f64, weight)
+        assert plan.weight_f32.dtype == np.float32
+        assert not plan.weight_f32.flags.writeable
+        assert np.array_equal(plan.weight_f32, weight)
         assert plan.row_bound == 21 and isinstance(plan.row_bound, int)
         assert plan.kernel_build_s >= 0.0
 

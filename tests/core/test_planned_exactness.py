@@ -4,9 +4,11 @@ The planned product (:func:`~repro.core.exact_matmul`) is checked against the
 scalar oracle, the vectorized transitive path, the interpreted planned path and
 the Python-int product, across weight precisions, TransRow widths, prefix
 distances, weight dtypes and real quantizer outputs.  Each case runs once per
-arithmetic tier, by scaling the activation so that ``B * p`` (row bound times
-peak ``|x|``) lands below ``2**53``, below ``2**62`` or beyond.  Separate tests
-count the float64 products to pin which tier each ``B * p`` selects.
+tier of :data:`TIER_PEAKS`, by scaling the activation so that ``B * p`` (row
+bound times peak ``|x|``) lands on either side of ``2**24`` and ``2**53``, on
+either side of a limb-count step of each float width, below ``2**62`` or
+anywhere in int64.  Separate tests count the BLAS calls on both float weight
+copies to pin the float width and limb count each ``B * p`` selects.
 """
 
 import numpy as np
@@ -21,10 +23,26 @@ from repro.quant.schemes import SCHEME_REGISTRY
 
 INT64_MAX = np.iinfo(np.int64).max
 
+
+def _limb_step(mantissa: int, limbs: int, past: int = 0):
+    """Largest peak that ``limbs`` limbs of a ``mantissa``-bit float cover,
+    plus ``past`` (1 makes it the first peak that needs one limb more)."""
+    def peak(bound: int) -> int:
+        shift = max(mantissa - bound.bit_length(), 0)
+        top = ((1 << mantissa) - 1) // bound
+        return min((top << (shift * (limbs - 1))) + past, INT64_MAX)
+    return peak
+
+
 #: Largest activation peak per tier, given the row bound ``B``.
 TIER_PEAKS = {
-    "float64": lambda bound: (2**53 - 1) // bound,
-    "two-limb": lambda bound: (2**62 - 1) // bound,
+    "float32": _limb_step(24, 1),  # B * p < 2**24: one float32 limb
+    "float32-2": _limb_step(24, 1, past=1),  # B * p >= 2**24: two limbs
+    "float32-2-top": _limb_step(24, 2),
+    "float32-3": _limb_step(24, 2, past=1),
+    "float64": _limb_step(53, 1),
+    "float64-2": _limb_step(53, 1, past=1),
+    "two-limb": lambda bound: (2**62 - 1) // bound,  # B * p just below 2**62
     "int64": lambda bound: INT64_MAX,
 }
 TIERS = sorted(TIER_PEAKS)
@@ -143,63 +161,103 @@ class TestEngineGeometry:
 
 
 class _CountingMatmul(np.ndarray):
-    """A float64 weight view that records every product taken from it."""
+    """A float weight view that records every product taken from it."""
 
     calls: list
 
     def __matmul__(self, other):
-        self.calls.append(other.shape)
+        self.calls.append((self.dtype, other.shape))
         return np.asarray(self) @ other
 
 
 def counting_plan(weight) -> GemmPlan:
-    """A kernel-only plan whose float64 weights count their products."""
+    """A kernel-only plan whose float weights record, in one shared list, the
+    dtype and operand shape of every BLAS call taken from them."""
     weight = np.asarray(weight, dtype=np.int64)
-    weight_f64 = weight.astype(np.float64).view(_CountingMatmul)
-    weight_f64.calls = []
+    weight_f32, weight_f64 = (
+        weight.astype(dtype).view(_CountingMatmul) for dtype in (np.float32, np.float64)
+    )
+    weight_f32.calls = weight_f64.calls = []
     return GemmPlan(
         weight=weight, weight_bits=64, transrow_bits=8, max_distance=4,
         packed=np.zeros((0, 0, 0), dtype=np.uint16), op_counts=None,
-        weight_f64=weight_f64, row_bound=_row_bound(weight),
+        weight_f32=weight_f32, weight_f64=weight_f64, row_bound=_row_bound(weight),
     )
+
+
+def limbs_called(plan: GemmPlan, x: np.ndarray):
+    """``(dtype, L)`` of the one BLAS call ``exact_matmul`` takes (``None``
+    for the int64 product), checking its output against Python ints."""
+    del plan.weight_f32.calls[:]
+    output = exact_matmul(plan, x)
+    assert np.array_equal(output, python_int_product(plan.weight, x))
+    calls = plan.weight_f32.calls
+    assert len(calls) <= 1
+    if not calls:
+        return None
+    dtype, shape = calls[0]
+    assert shape[1] % x.shape[1] == 0
+    return np.dtype(dtype).name, shape[1] // x.shape[1]
 
 
 class TestTierSelection:
-    """One float64 product below ``2**53``, two below ``2**62``, none beyond."""
+    """One BLAS call per batch, on the float width and limb count the bound
+    and the batch width pick; the int64 product only past ``bitlen(B) = 52``."""
 
     @pytest.mark.parametrize(
-        "row, peak, products",
+        "row, peak, columns, expected",
         [
-            ([1], 0, 1),
-            ([1], 2**53 - 1, 1),
-            ([3, -1], (2**53 - 1) // 4, 1),
-            ([1], 2**53, 2),
-            ([3, -1], 2**51, 2),
-            ([1], 2**62 - 1, 2),
-            ([1], 2**62, 0),
-            ([3, -1], 2**60, 0),
-            ([1], INT64_MAX, 0),
-            # B * p < 2**62, but no split keeps both limbs below 2**53.
-            ([2**47 - 1, 2**47 - 2], 16383, 0),
+            ([1], 0, 3, ("float32", 1)),
+            ([1], 2**24 - 1, 3, ("float32", 1)),
+            ([1], 2**24, 3, ("float32", 2)),
+            ([3, -1], (2**24 - 1) // 4, 3, ("float32", 1)),
+            ([3, -1], 2**22, 3, ("float32", 2)),
+            # Limb-count steps of 23-bit float32 limbs (B = 1).
+            ([1], (2**24 - 1) << 23, 3, ("float32", 2)),
+            ([1], ((2**24 - 1) << 23) + 1, 3, ("float32", 3)),
+            ([1], INT64_MAX, 3, ("float32", 3)),
+            # float32 wins while max(L32 * c, 16) <= 2 * max(L64 * c, 16).
+            ([1], 2**24, 16, ("float32", 2)),
+            ([1], 2**24, 40, ("float32", 2)),
+            ([1], 2**53 - 1, 10, ("float32", 3)),
+            ([1], 2**53 - 1, 11, ("float64", 1)),
+            ([1], 2**53, 11, ("float32", 3)),
+            ([3, -1], 2**51, 3, ("float32", 3)),
+            ([3, -1], 2**60, 3, ("float32", 3)),
+            # Past bitlen(B) = 23 only float64 limbs are exact ...
+            ([2**30], 0, 3, ("float32", 1)),
+            ([2**30], 1, 3, ("float64", 1)),
+            ([2**30, 2**30 - 1], 2**40, 3, ("float64", 2)),
+            # ... certified limb by limb: two 5-bit limbs would round here.
+            ([2**47 - 1, 2**47 - 2], 16383, 3, ("float64", 3)),
+            ([2**51], 2**62, 3, ("float64", 62)),
+            # ... and past bitlen(B) = 52 none are.
+            ([2**52], 1, 3, ("float64", 1)),
+            ([2**52], 2, 3, None),
+            ([2**60, 1], INT64_MAX, 3, None),
         ],
     )
-    def test_products_per_tier(self, row, peak, products):
+    def test_one_call_per_batch(self, row, peak, columns, expected):
         plan = counting_plan([row])
-        x = np.full((len(row), 3), peak, dtype=np.int64)
+        x = np.full((len(row), columns), peak // 3, dtype=np.int64)
+        x[:, 0] = peak
         x[:, 1] = -peak
-        x[:, 2] = peak // 3
-        output = exact_matmul(plan, x)
-        assert len(plan.weight_f64.calls) == products
-        assert np.array_equal(output, python_int_product(plan.weight, x))
+        assert limbs_called(plan, x) == expected
 
-    def test_tier_is_chosen_per_batch_from_its_peak(self):
-        plan = counting_plan([[5, -5]])
+    def test_recombination_wraps_past_int64(self):
+        # 28 * (2**61 + 1) > 2**63: four float32 limbs, summed with wrap.
+        plan = counting_plan([[7, 7, 7, 7]])
+        x = np.full((4, 2), 2**61 + 1, dtype=np.int64)
+        assert limbs_called(plan, x) == ("float32", 4)
+
+    def test_choice_is_made_per_batch_from_its_peak_and_width(self):
+        plan = counting_plan([[5, -5]])  # B = 10
         small = np.full((2, 1), 7, dtype=np.int64)
-        huge = np.full((2, 1), 2**61, dtype=np.int64)
-        exact_matmul(plan, small)
-        assert len(plan.weight_f64.calls) == 1
-        exact_matmul(plan, np.concatenate([small, huge], axis=1))
-        assert len(plan.weight_f64.calls) == 1  # B * p = 10 * 2**61: int64
+        large = np.full((2, 1), 2**45, dtype=np.int64)
+        assert limbs_called(plan, small) == ("float32", 1)
+        assert limbs_called(plan, np.concatenate([small, large], axis=1)) == ("float32", 3)
+        wide = np.concatenate([small] * 10 + [large], axis=1)
+        assert limbs_called(plan, wide) == ("float64", 1)
 
 
 class TestMultiplyMany:

@@ -24,17 +24,19 @@ class TestCompileStats:
         assert stats.num_layers == 2
         assert stats.compile_s > 0.0
         assert 0.0 <= stats.lowering_s <= stats.compile_s
-        # Two 24x20 layers of float64 kernel weights.
-        assert stats.kernel_bytes == 2 * 24 * 20 * 8
+        # Two 24x20 layers, each pinned as float32 and float64 weights.
+        assert stats.kernel_bytes == 2 * 24 * 20 * (4 + 8)
         assert set(stats.per_layer_compile_s) == {"layer0", "layer1"}
 
     def test_every_layer_carries_kernel_state(self):
         plan = compile_workload(_workload())
         for name in plan.layer_names():
             gemm_plan = plan.layer(name).gemm_plan
-            assert gemm_plan.weight_f64.dtype == np.float64
-            assert not gemm_plan.weight_f64.flags.writeable
-            assert np.array_equal(gemm_plan.weight_f64, gemm_plan.weight)
+            for copy, dtype in ((gemm_plan.weight_f32, np.float32),
+                                (gemm_plan.weight_f64, np.float64)):
+                assert copy.dtype == dtype
+                assert not copy.flags.writeable
+                assert np.array_equal(copy, gemm_plan.weight)
             expected = int(np.abs(gemm_plan.weight).sum(axis=1).max())
             assert gemm_plan.row_bound == expected
             assert isinstance(gemm_plan.row_bound, int)

@@ -406,6 +406,55 @@ class TestThreadTier:
         assert Server(plan, num_workers=3, max_worker_restarts=0).max_worker_restarts == 0
 
 
+class _RecordingWeights(np.ndarray):
+    """A float weight copy that records the dtype and width of each product."""
+
+    calls: list
+
+    def __matmul__(self, other):
+        self.calls.append((self.dtype.name, other.shape[1]))
+        return np.asarray(self) @ other
+
+
+class TestBatchComposition:
+    """A request's batch picks float32 or float64 limbs; its output does not
+    depend on which, and always equals the Python-int product."""
+
+    def test_mixed_batches_equal_the_python_int_product(self):
+        workload = synthetic_gemm_workload(num_layers=1, n=8, k=6, m=1, weight_bits=4)
+        plan = compile_workload(workload, seed=3)
+        layer = plan.layer("layer0")
+        calls = []
+        for field in ("weight_f32", "weight_f64"):
+            copy = getattr(layer.gemm_plan, field).view(_RecordingWeights)
+            copy.calls = calls
+            object.__setattr__(layer.gemm_plan, field, copy)
+        # The float64 one-limb top: three float32 limbs cover it, and a batch
+        # of 11 or more columns takes float64 instead.
+        peak = (2**53 - 1) // layer.gemm_plan.row_bound
+        rng = np.random.default_rng(4)
+        small = rng.integers(-8, 8, size=(6, 1), dtype=np.int64)
+
+        def large(columns):
+            x = rng.integers(-peak, peak, size=(6, columns), dtype=np.int64, endpoint=True)
+            x[0, 0] = peak
+            return x
+
+        weight = layer.weight.astype(object)
+        served = []
+        with Server(plan, num_workers=1, max_batch=8) as server:
+            for partner in (None, large(11), large(2)):
+                acts = [small] if partner is None else [small, partner]
+                requests = server.submit_many(acts)
+                outputs = [request.result(timeout=30.0) for request in requests]
+                for act, output in zip(acts, outputs):
+                    assert output.dtype == np.int64
+                    assert np.array_equal(output.astype(object), weight @ act.astype(object))
+                served.append(outputs[0])
+        assert calls == [("float32", 1), ("float64", 12), ("float32", 3 * 3)]
+        assert all(np.array_equal(output, served[0]) for output in served)
+
+
 class TestLlamaFcAcceptance:
     """ISSUE 2 acceptance: 64 concurrent requests on a LLaMA-7B FC plan.
 
