@@ -33,9 +33,11 @@ scoreboard* was designed for: compile once, serve forever.
 * :mod:`repro.serving.faults` — the :class:`FaultInjector` chaos-testing
   harness (injected engine faults, worker crashes, artificial latency) and
   the seeded open-loop :class:`ArrivalSchedule` overload scenarios;
-* :mod:`repro.serving.report` — throughput / latency-percentile / energy /
-  fault-tolerance accounting rendered by
-  :func:`repro.analysis.format_serving_report`.
+* :mod:`repro.serving.report` — the accounting ledger each finished request
+  is folded into once, and the :class:`ServerHealth` / :class:`ServingReport`
+  (throughput, exact latency percentiles, energy, fault-tolerance counters)
+  derived from it; :func:`repro.analysis.format_serving_report` renders the
+  report.
 """
 
 from .plan import CompileStats, LayerPlan, ModelPlan, compile_workload
@@ -54,8 +56,8 @@ from .policy import (
     RetryPolicy,
 )
 from .faults import ArrivalSchedule, FaultInjector, FaultPlan, FaultStats
-from .report import ServingReport, ShardStats, StageStats, build_report, percentile
-from .server import Server, ServerHealth
+from .report import ServerHealth, ServingReport, ShardStats, StageStats, percentile
+from .server import Server
 
 __all__ = [
     "CompileStats",
@@ -85,7 +87,6 @@ __all__ = [
     "ServingReport",
     "ShardStats",
     "StageStats",
-    "build_report",
     "percentile",
     "Server",
     "ServerHealth",

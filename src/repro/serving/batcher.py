@@ -9,12 +9,9 @@ cycle model.  Outputs are bit-identical to serving each request alone — the
 engine concatenates activation columns, and the weights (and therefore the
 scoreboard pass) are shared by construction.
 
-Fault tolerance splits execution into two entry points.
 :meth:`MicroBatcher.execute_once` runs one engine pass over *already
 claimed* requests and **raises** on failure without touching their state, so
-the server can wrap it in its retry policy and degraded fallback.
-:meth:`MicroBatcher.execute` keeps the original standalone contract — claim,
-execute, and on error fail every request in place without raising.  The
+the server can wrap it in its retry policy and degraded fallback.  The
 optional :class:`~repro.serving.faults.FaultInjector` hook fires immediately
 before the engine pass (inside the retried region, so injected transient
 faults exercise the retry path end to end).
@@ -42,15 +39,10 @@ class BatchExecution:
     total_columns: int
     started_at: float
     finished_at: float
-    op_counts: Optional[OpCounts]
-    #: Pure engine-pass time (excludes attribution/fulfilment); ``None`` when
-    #: the pass never ran.  Per-stage occupancy accounting reads this.
-    compute_s: Optional[float] = None
-
-    @property
-    def duration_s(self) -> float:
-        """Wall-clock duration of the engine pass."""
-        return self.finished_at - self.started_at
+    op_counts: OpCounts
+    #: Pure engine-pass time (excludes attribution/fulfilment): what both
+    #: per-stage and per-worker compute accounting charge.
+    compute_s: float
 
 
 class MicroBatcher:
@@ -60,17 +52,6 @@ class MicroBatcher:
         self.plan = plan
         self.faults = faults
 
-    def _check_batch(self, requests: List[Request]) -> str:
-        if not requests:
-            raise ServingError("cannot execute an empty micro-batch")
-        layer = requests[0].layer
-        if any(request.layer != layer for request in requests):
-            raise ServingError(
-                "micro-batch mixes layers: "
-                f"{sorted({request.layer for request in requests})}"
-            )
-        return layer
-
     def execute_once(self, requests: List[Request]) -> BatchExecution:
         """One engine pass over claimed requests; raises on failure.
 
@@ -79,7 +60,14 @@ class MicroBatcher:
         with the requests untouched, so the caller decides between retrying,
         degrading per-request, or failing the batch.
         """
-        layer = self._check_batch(requests)
+        if not requests:
+            raise ServingError("cannot execute an empty micro-batch")
+        layer = requests[0].layer
+        if any(request.layer != layer for request in requests):
+            raise ServingError(
+                "micro-batch mixes layers: "
+                f"{sorted({request.layer for request in requests})}"
+            )
         started_at = time.perf_counter()
         if self.faults is not None:
             self.faults.on_batch(layer, len(requests))
@@ -107,43 +95,3 @@ class MicroBatcher:
             op_counts=report.op_counts,
             compute_s=compute_s,
         )
-
-    def execute(self, requests: List[Request]) -> BatchExecution:
-        """Run one micro-batch, fulfilling or failing every request in it.
-
-        Worker-side errors are captured on the requests (each waiting client
-        re-raises from :meth:`~repro.serving.request.Request.result`) so a
-        malformed request never takes the server down.  This is the
-        standalone entry point; the server goes through
-        :meth:`execute_once` so its retry policy sees the errors.
-        """
-        layer = self._check_batch(requests)
-        started_at = time.perf_counter()
-        claimed = [
-            request
-            for request in requests
-            if request.try_claim(started_at, len(requests))
-        ]
-        if not claimed:
-            return BatchExecution(
-                layer=layer,
-                batch_size=0,
-                total_columns=0,
-                started_at=started_at,
-                finished_at=started_at,
-                op_counts=None,
-            )
-        try:
-            return self.execute_once(claimed)
-        except Exception as error:  # noqa: BLE001 - forwarded to the clients
-            finished_at = time.perf_counter()
-            for request in claimed:
-                request.fail(error, finished_at)
-            return BatchExecution(
-                layer=layer,
-                batch_size=len(claimed),
-                total_columns=sum(request.columns for request in claimed),
-                started_at=started_at,
-                finished_at=finished_at,
-                op_counts=None,
-            )

@@ -1,13 +1,24 @@
-"""Serving-side statistics: latency percentiles, throughput, energy.
+"""Serving accounting: the running ledger and the reports derived from it.
 
-The report is assembled by the server after (or during) a serving run from
-the completed requests and executed batches.
+Every finished request is folded into the :class:`ServingLedger` exactly
+once, as running per-layer, per-priority, per-worker and model-level
+totals plus one float64 latency sample per completion.  Nothing else about
+a request is kept, so a serve-forever process holds a few bytes per request,
+and :meth:`~repro.serving.server.Server.report` reads the totals plus one
+percentile pass over the samples.  :class:`ServerHealth` (live monitoring) and
+:class:`ServingReport` (the end-of-run summary) both read one locked
+snapshot of the ledger, so the counters they share always agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+import threading
+import time
+from array import array
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,7 +26,10 @@ from ..core.metrics import OpCounts
 from ..core.transitive_gemm import ScoreboardCacheInfo
 from ..energy.breakdown import EnergyBreakdown
 from ..errors import ServingError
+from .batcher import BatchExecution
+from .model_request import ModelRequest
 from .plan import CompileStats
+from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, Request
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -279,118 +293,361 @@ class ServingReport:
         return summary
 
 
-def build_report(
-    workload: str,
-    latencies_s: List[float],
-    queue_delays_s: List[float],
-    wall_s: float,
-    total_columns: int,
-    num_failed: int,
-    num_rejected: int,
-    batch_sizes: List[int],
-    requests_per_layer: Dict[str, int],
-    plan_hits: int,
-    plan_misses: int,
-    op_counts: Optional[OpCounts],
-    scoreboard_cache: Optional[ScoreboardCacheInfo],
-    attributed_cycles: Optional[int],
-    attributed_energy: Optional[EnergyBreakdown],
-    num_expired: int = 0,
-    num_cancelled: int = 0,
-    num_retried: int = 0,
-    num_degraded: int = 0,
-    num_worker_restarts: int = 0,
-    compile_stats: Optional[CompileStats] = None,
-    shards: Sequence[ShardStats] = (),
-    stages: Sequence[StageStats] = (),
-    model_latencies_s: Sequence[float] = (),
-    num_model_failed: int = 0,
-    pipeline_depth: int = 0,
-    num_shed: int = 0,
-    num_admission_shed: int = 0,
-    breaker_trips: int = 0,
-    breaker_state: str = "disabled",
-    num_plan_swaps: int = 0,
-    num_force_aborted: int = 0,
-    num_deadline_met: int = 0,
-    deadline_met_by_priority: Optional[Dict[int, int]] = None,
-) -> ServingReport:
-    """Assemble a :class:`ServingReport` from raw serving-run samples.
+@dataclass(frozen=True)
+class ServerHealth:
+    """Point-in-time liveness and fault-tolerance counters of a server.
 
-    ``latencies_s`` may be empty (a run whose every request failed — or a
-    monitoring poll before any finished — still needs a well-formed report);
-    the latency and throughput figures are zero in that case.
+    Safe to poll from monitoring code at any moment of the server lifecycle
+    (including before :meth:`Server.start` and after :meth:`Server.close`).
     """
-    wall = max(wall_s, 1e-12)
-    goodput_by_priority = {
-        priority: count / wall
-        for priority, count in sorted((deadline_met_by_priority or {}).items())
+
+    started: bool
+    closed: bool
+    num_workers: int
+    alive_workers: int
+    queue_depth: int
+    queue_capacity: int
+    num_rejected: int
+    num_expired: int
+    num_cancelled: int
+    num_retried: int
+    num_degraded: int
+    num_worker_restarts: int
+    #: Requests shed post-admission (claim-time doomed + breaker-blocked).
+    num_shed: int = 0
+    #: Requests shed at admission time (brownout / doomed-at-submit).
+    num_admission_shed: int = 0
+    #: Degraded-path circuit-breaker state ("disabled" when not configured).
+    breaker_state: str = "disabled"
+    #: Zero-downtime plan swaps completed so far.
+    num_plan_swaps: int = 0
+
+    @property
+    def healthy(self) -> bool:
+        """Accepting work with at least one live worker."""
+        return self.started and not self.closed and self.alive_workers > 0
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-serialisable snapshot for monitoring endpoints."""
+        return {
+            "healthy": self.healthy,
+            "started": self.started,
+            "closed": self.closed,
+            "num_workers": self.num_workers,
+            "alive_workers": self.alive_workers,
+            "queue_depth": self.queue_depth,
+            "queue_capacity": self.queue_capacity,
+            "num_rejected": self.num_rejected,
+            "num_expired": self.num_expired,
+            "num_cancelled": self.num_cancelled,
+            "num_retried": self.num_retried,
+            "num_degraded": self.num_degraded,
+            "num_worker_restarts": self.num_worker_restarts,
+            "num_shed": self.num_shed,
+            "num_admission_shed": self.num_admission_shed,
+            "breaker_state": self.breaker_state,
+            "num_plan_swaps": self.num_plan_swaps,
+        }
+
+
+def _summary(samples: array) -> Tuple[float, float, float, float]:
+    """Mean, p50, p95 and p99 of a latency sample (all zero when empty)."""
+    if not samples:
+        return 0.0, 0.0, 0.0, 0.0
+    p50, p95, p99 = np.percentile(samples, (50.0, 95.0, 99.0))
+    return sum(samples) / len(samples), float(p50), float(p95), float(p99)
+
+
+@dataclass
+class _LayerTotals:
+    """Running totals of one layer's finished stage requests and batches."""
+
+    #: Finished stage requests per terminal state.
+    states: Counter = field(default_factory=Counter)
+    retries: int = 0
+    #: Completed requests that the degraded oracle served.
+    degraded: int = 0
+    #: Activation columns of completed requests.
+    columns: int = 0
+    #: Submit-to-claim seconds summed over completed requests.
+    queue_wait_s: float = 0.0
+    #: Submit-to-finish seconds of each completed request, in finish order.
+    latencies: array = field(default_factory=lambda: array("d"))
+    #: Fast-path batches: how many, their summed and largest sizes, their
+    #: engine-pass seconds and the scoreboard work they spent.
+    batches: int = 0
+    batched_requests: int = 0
+    max_batch_size: int = 0
+    compute_s: float = 0.0
+    op_counts: Optional[OpCounts] = None
+
+    def copy(self) -> "_LayerTotals":
+        return replace(
+            self, states=Counter(self.states), latencies=array("d", self.latencies)
+        )
+
+    def stage_stats(self, stage: int, layer: str, wall: float) -> StageStats:
+        """This layer's totals as pipeline stage ``stage`` of a run of
+        ``wall`` seconds (occupancy = engine seconds over wall-clock)."""
+        done = self.states[DONE]
+        latency_mean_s, _, latency_p95_s, _ = _summary(self.latencies)
+        return StageStats(
+            stage=stage,
+            layer=layer,
+            requests=done,
+            batches=self.batches,
+            compute_s=self.compute_s,
+            queue_wait_mean_s=self.queue_wait_s / done if done else 0.0,
+            latency_mean_s=latency_mean_s,
+            latency_p95_s=latency_p95_s,
+            occupancy=self.compute_s / wall,
+        )
+
+
+def _shared_counters(
+    layers: Sequence[_LayerTotals], events: Counter
+) -> Dict[str, int]:
+    """The ledger counters :class:`ServerHealth` and :class:`ServingReport`
+    share, keyed by their common field names."""
+    return {
+        "num_expired": sum(totals.states[EXPIRED] for totals in layers),
+        "num_cancelled": sum(totals.states[CANCELLED] for totals in layers),
+        "num_shed": sum(totals.states[SHED] for totals in layers),
+        "num_retried": sum(totals.retries for totals in layers),
+        "num_degraded": sum(totals.degraded for totals in layers),
+        "num_admission_shed": events["admission_shed"],
+        "num_plan_swaps": events["plan_swaps"],
     }
-    return ServingReport(
-        workload=workload,
-        num_requests=len(latencies_s),
-        num_failed=num_failed,
-        num_rejected=num_rejected,
-        num_expired=num_expired,
-        num_cancelled=num_cancelled,
-        num_retried=num_retried,
-        num_degraded=num_degraded,
-        num_worker_restarts=num_worker_restarts,
-        total_columns=total_columns,
-        wall_s=wall_s,
-        throughput_rps=len(latencies_s) / wall,
-        throughput_cols_per_s=total_columns / wall,
-        latency_mean_s=(
-            sum(latencies_s) / len(latencies_s) if latencies_s else 0.0
-        ),
-        latency_p50_s=percentile(latencies_s, 50.0) if latencies_s else 0.0,
-        latency_p95_s=percentile(latencies_s, 95.0) if latencies_s else 0.0,
-        latency_p99_s=percentile(latencies_s, 99.0) if latencies_s else 0.0,
-        queue_delay_mean_s=(
-            sum(queue_delays_s) / len(queue_delays_s) if queue_delays_s else 0.0
-        ),
-        num_batches=len(batch_sizes),
-        mean_batch_size=(
-            sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
-        ),
-        max_batch_size=max(batch_sizes) if batch_sizes else 0,
-        plan_hits=plan_hits,
-        plan_misses=plan_misses,
-        requests_per_layer=requests_per_layer,
-        op_counts=op_counts,
-        scoreboard_cache=scoreboard_cache,
-        attributed_cycles=attributed_cycles,
-        attributed_energy=attributed_energy,
-        compile_stats=compile_stats,
-        shards=tuple(shards),
-        queue_wait_s_total=sum(queue_delays_s),
-        compute_s_total=sum(shard.compute_s for shard in shards),
-        dispatch_s_total=sum(shard.dispatch_s for shard in shards),
-        stages=tuple(stages),
-        num_model_requests=len(model_latencies_s),
-        num_model_failed=num_model_failed,
-        model_latency_mean_s=(
-            sum(model_latencies_s) / len(model_latencies_s)
-            if model_latencies_s
-            else 0.0
-        ),
-        model_latency_p50_s=(
-            percentile(list(model_latencies_s), 50.0) if model_latencies_s else 0.0
-        ),
-        model_latency_p95_s=(
-            percentile(list(model_latencies_s), 95.0) if model_latencies_s else 0.0
-        ),
-        model_latency_p99_s=(
-            percentile(list(model_latencies_s), 99.0) if model_latencies_s else 0.0
-        ),
-        pipeline_depth=pipeline_depth,
-        num_shed=num_shed,
-        num_admission_shed=num_admission_shed,
-        breaker_trips=breaker_trips,
-        breaker_state=breaker_state,
-        num_plan_swaps=num_plan_swaps,
-        num_force_aborted=num_force_aborted,
-        num_deadline_met=num_deadline_met,
-        goodput_rps=num_deadline_met / wall,
-        goodput_by_priority=goodput_by_priority,
-    )
+
+
+class ServingLedger:
+    """Running accounting totals of one server.
+
+    The server folds each finished stage request in once (:meth:`fold`),
+    each whole-model request once (:meth:`fold_model`), each worker batch
+    once (:meth:`fold_worker`), and counts events that finish no request
+    (:meth:`count`: ``admission_shed``, ``plan_swaps``, ``force_aborted``).
+    All of it sits under one lock, which :meth:`counters` and
+    :meth:`report` take to read a consistent snapshot.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._layers: Dict[str, _LayerTotals] = defaultdict(_LayerTotals)
+        #: Per-worker utilization, keyed by worker index.
+        self._workers: Dict[int, ShardStats] = {}
+        #: Completions inside their deadline budget, per priority class.
+        self._met_by_priority: Counter = Counter()
+        #: Submit-to-finish seconds of each completed model request.
+        self._model_latencies = array("d")
+        self._model_failed = 0
+        self._first_submit = float("inf")
+        self._last_finish = float("-inf")
+        self._attributed_cycles: Optional[int] = None
+        self._attributed_energy: Optional[EnergyBreakdown] = None
+        self._events: Counter = Counter()
+
+    # ---------------------------------------------------------------- folding
+    def fold(
+        self,
+        requests: Iterable[Request],
+        execution: Optional[BatchExecution] = None,
+    ) -> None:
+        """Fold finished stage requests in, with the fast-path batch that
+        computed them (``None`` when no engine pass succeeded)."""
+        now = time.perf_counter()
+        with self._lock:
+            if execution is not None:
+                totals = self._layers[execution.layer]
+                totals.batches += 1
+                totals.batched_requests += execution.batch_size
+                totals.max_batch_size = max(
+                    totals.max_batch_size, execution.batch_size
+                )
+                totals.compute_s += execution.compute_s
+                totals.op_counts = (
+                    execution.op_counts
+                    if totals.op_counts is None
+                    else totals.op_counts.merge(execution.op_counts)
+                )
+            for request in requests:
+                self._fold_request(request, now)
+
+    def _fold_request(self, request: Request, now: float) -> None:
+        finished_at = request.finished_at if request.finished_at is not None else now
+        self._first_submit = min(self._first_submit, request.submitted_at)
+        self._last_finish = max(self._last_finish, finished_at)
+        totals = self._layers[request.layer]
+        totals.states[request.state] += 1
+        totals.retries += request.retries
+        if request.state != DONE:
+            return
+        totals.columns += request.columns
+        totals.latencies.append(finished_at - request.submitted_at)
+        if request.started_at is not None:
+            totals.queue_wait_s += request.started_at - request.submitted_at
+        if request.degraded:
+            totals.degraded += 1
+        if request.deadline_at is None or finished_at <= request.deadline_at:
+            self._met_by_priority[request.priority] += 1
+        attribution = request.attribution
+        if attribution is not None:
+            if self._attributed_cycles is None:
+                self._attributed_cycles = 0
+                self._attributed_energy = EnergyBreakdown()
+            self._attributed_cycles += attribution.cycles
+            self._attributed_energy = self._attributed_energy.merge(
+                attribution.energy
+            )
+
+    def fold_model(self, model_request: ModelRequest) -> None:
+        """Fold one finished whole-model request in."""
+        with self._lock:
+            if model_request.state == DONE:
+                self._model_latencies.append(model_request.latency_s)
+            else:
+                self._model_failed += 1
+
+    def fold_worker(
+        self, worker: int, requests: int, compute_s: float, busy_s: float
+    ) -> None:
+        """Charge one batch to a worker: ``compute_s`` engine-pass seconds
+        out of the ``busy_s`` seconds from claiming the batch to settling it."""
+        with self._lock:
+            stats = self._workers.get(worker) or ShardStats(worker, 0, 0, 0.0, 0.0)
+            self._workers[worker] = replace(
+                stats,
+                batches=stats.batches + 1,
+                requests=stats.requests + requests,
+                compute_s=stats.compute_s + compute_s,
+                dispatch_s=stats.dispatch_s + max(busy_s - compute_s, 0.0),
+            )
+
+    def count(self, event: str, n: int = 1) -> None:
+        """Count ``n`` occurrences of an event that finishes no request."""
+        with self._lock:
+            self._events[event] += n
+
+    # -------------------------------------------------------------- reading
+    def counters(self) -> Dict[str, int]:
+        """The counters :class:`ServerHealth` reports, from one snapshot."""
+        with self._lock:
+            return _shared_counters(list(self._layers.values()), self._events)
+
+    def report(
+        self,
+        *,
+        workload: str,
+        stage_layers: Sequence[str],
+        num_workers: int,
+        num_rejected: int,
+        num_worker_restarts: int,
+        scoreboard_cache: Optional[ScoreboardCacheInfo],
+        compile_stats: Optional[CompileStats],
+        breaker_trips: int,
+        breaker_state: str,
+    ) -> ServingReport:
+        """Derive the :class:`ServingReport` from one snapshot of the ledger.
+
+        The keywords carry what the server, not the ledger, knows:
+        ``stage_layers`` names the pipeline stages in order (empty without a
+        model graph) and ``num_workers`` the worker slots, one
+        :class:`ShardStats` each.
+        """
+        with self._lock:
+            layers = {name: totals.copy() for name, totals in self._layers.items()}
+            workers = dict(self._workers)
+            met = dict(self._met_by_priority)
+            model_latencies = array("d", self._model_latencies)
+            model_failed = self._model_failed
+            wall_s = (
+                self._last_finish - self._first_submit
+                if math.isfinite(self._first_submit)
+                else 0.0
+            )
+            attributed_cycles = self._attributed_cycles
+            attributed_energy = self._attributed_energy
+            events = Counter(self._events)
+        wall = max(wall_s, 1e-12)
+        totals = list(layers.values())
+        done = sum(layer.states[DONE] for layer in totals)
+        columns = sum(layer.columns for layer in totals)
+        queue_wait_s = sum(layer.queue_wait_s for layer in totals)
+        latencies = array("d")
+        for layer in totals:
+            latencies.extend(layer.latencies)
+        latency = _summary(latencies)
+        model_latency = _summary(model_latencies)
+        batched = [layer for layer in totals if layer.batches]
+        num_batches = sum(layer.batches for layer in batched)
+        op_counts: Optional[OpCounts] = None
+        for layer in batched:
+            op_counts = (
+                layer.op_counts if op_counts is None else op_counts.merge(layer.op_counts)
+            )
+        shards = tuple(
+            workers.get(index, ShardStats(index, 0, 0, 0.0, 0.0))
+            for index in range(num_workers)
+        )
+        deadline_met = sum(met.values())
+        return ServingReport(
+            workload=workload,
+            num_requests=done,
+            num_failed=sum(layer.states[FAILED] for layer in totals),
+            num_rejected=num_rejected,
+            num_worker_restarts=num_worker_restarts,
+            **_shared_counters(totals, events),
+            total_columns=columns,
+            wall_s=wall_s,
+            throughput_rps=done / wall,
+            throughput_cols_per_s=columns / wall,
+            latency_mean_s=latency[0],
+            latency_p50_s=latency[1],
+            latency_p95_s=latency[2],
+            latency_p99_s=latency[3],
+            queue_delay_mean_s=queue_wait_s / done if done else 0.0,
+            num_batches=num_batches,
+            mean_batch_size=(
+                sum(layer.batched_requests for layer in batched) / num_batches
+                if num_batches
+                else 0.0
+            ),
+            max_batch_size=max((layer.max_batch_size for layer in batched), default=0),
+            # Every fast-path batch reused a precompiled scoreboard (a hit);
+            # the misses are the offline compilations of the layers served.
+            plan_hits=num_batches,
+            plan_misses=len(batched),
+            requests_per_layer={
+                name: layer.states[DONE]
+                for name, layer in layers.items()
+                if layer.states[DONE]
+            },
+            op_counts=op_counts,
+            scoreboard_cache=scoreboard_cache,
+            attributed_cycles=attributed_cycles,
+            attributed_energy=attributed_energy,
+            compile_stats=compile_stats,
+            shards=shards,
+            queue_wait_s_total=queue_wait_s,
+            compute_s_total=sum(shard.compute_s for shard in shards),
+            dispatch_s_total=sum(shard.dispatch_s for shard in shards),
+            stages=tuple(
+                layers.get(layer, _LayerTotals()).stage_stats(index, layer, wall)
+                for index, layer in enumerate(stage_layers)
+            ),
+            num_model_requests=len(model_latencies),
+            num_model_failed=model_failed,
+            model_latency_mean_s=model_latency[0],
+            model_latency_p50_s=model_latency[1],
+            model_latency_p95_s=model_latency[2],
+            model_latency_p99_s=model_latency[3],
+            pipeline_depth=len(stage_layers),
+            breaker_trips=breaker_trips,
+            breaker_state=breaker_state,
+            num_force_aborted=events["force_aborted"],
+            num_deadline_met=deadline_met,
+            goodput_rps=deadline_met / wall,
+            goodput_by_priority={
+                priority: count / wall for priority, count in sorted(met.items())
+            },
+        )

@@ -2,8 +2,9 @@
 
 The server owns the bounded :class:`~repro.serving.queue.RequestQueue`, a pool
 of supervised worker threads draining it through the
-:class:`~repro.serving.batcher.MicroBatcher`, and the accounting that becomes
-the :class:`~repro.serving.report.ServingReport`.  The flow is the classic
+:class:`~repro.serving.batcher.MicroBatcher`, and the
+:class:`~repro.serving.report.ServingLedger` that :meth:`Server.health` and
+:meth:`Server.report` are derived from.  The flow is the classic
 online-inference shape: clients :meth:`Server.submit` activations and receive
 future-style :class:`~repro.serving.model_request.ModelRequest` handles; admission
 control rejects work beyond ``max_pending`` with
@@ -83,11 +84,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..energy.breakdown import EnergyBreakdown
 from ..errors import ServingError, ShedError, WorkerCrashError
 from .batcher import BatchExecution, MicroBatcher
 from .blas import pin_blas_threads
@@ -103,8 +103,8 @@ from .policy import (
     deadline_at,
 )
 from .queue import RequestQueue
-from .report import ServingReport, ShardStats, StageStats, build_report
-from .request import CANCELLED, DONE, EXPIRED, FAILED, SHED, Request
+from .report import ServerHealth, ServingLedger, ServingReport
+from .request import DONE, FAILED, Request
 
 #: Exactly-representable-in-float bound for validating float activations.
 _FLOAT_EXACT_INT_BOUND = float(2**53)
@@ -120,41 +120,6 @@ def _reject_layer_name(activation: object) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _RequestRecord:
-    """Scalar accounting snapshot of a finished request.
-
-    The server keeps these instead of the :class:`Request` objects so a
-    long-running ("serve forever") process never pins the per-request
-    activation/output arrays in its accounting state.
-    """
-
-    layer: str
-    columns: int
-    state: str
-    submitted_at: float
-    finished_at: float
-    latency_s: float
-    queue_delay_s: float
-    retries: int
-    degraded: bool
-    priority: int = 0
-    #: Completed (state ``done``) inside its deadline budget (trivially true
-    #: for completions without a deadline) — the goodput numerator.
-    deadline_met: bool = False
-
-
-@dataclass(frozen=True)
-class _ModelRecord:
-    """Scalar accounting snapshot of a finished whole-model request."""
-
-    state: str
-    latency_s: float
-    steps: int
-    priority: int = 0
-    deadline_met: bool = False
-
-
 @dataclass
 class _WorkerSlot:
     """One supervised worker position in the pool (thread may be replaced)."""
@@ -165,11 +130,6 @@ class _WorkerSlot:
     crash_errors: List[BaseException] = field(default_factory=list)
     dead: bool = False
     finished: bool = False
-    # Utilization counters, reported as this worker's ShardStats.
-    batches: int = 0
-    requests: int = 0
-    compute_s: float = 0.0
-    dispatch_s: float = 0.0
 
     @property
     def name(self) -> str:
@@ -178,63 +138,6 @@ class _WorkerSlot:
     @property
     def alive(self) -> bool:
         return self.thread is not None and self.thread.is_alive()
-
-
-@dataclass(frozen=True)
-class ServerHealth:
-    """Point-in-time liveness and fault-tolerance counters of a server.
-
-    Safe to poll from monitoring code at any moment of the server lifecycle
-    (including before :meth:`Server.start` and after :meth:`Server.close`).
-    """
-
-    started: bool
-    closed: bool
-    num_workers: int
-    alive_workers: int
-    queue_depth: int
-    queue_capacity: int
-    num_rejected: int
-    num_expired: int
-    num_cancelled: int
-    num_retried: int
-    num_degraded: int
-    num_worker_restarts: int
-    #: Requests shed post-admission (claim-time doomed + breaker-blocked).
-    num_shed: int = 0
-    #: Requests shed at admission time (brownout / doomed-at-submit).
-    num_admission_shed: int = 0
-    #: Degraded-path circuit-breaker state ("disabled" when not configured).
-    breaker_state: str = "disabled"
-    #: Zero-downtime plan swaps completed so far.
-    num_plan_swaps: int = 0
-
-    @property
-    def healthy(self) -> bool:
-        """Accepting work with at least one live worker."""
-        return self.started and not self.closed and self.alive_workers > 0
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot for monitoring endpoints."""
-        return {
-            "healthy": self.healthy,
-            "started": self.started,
-            "closed": self.closed,
-            "num_workers": self.num_workers,
-            "alive_workers": self.alive_workers,
-            "queue_depth": self.queue_depth,
-            "queue_capacity": self.queue_capacity,
-            "num_rejected": self.num_rejected,
-            "num_expired": self.num_expired,
-            "num_cancelled": self.num_cancelled,
-            "num_retried": self.num_retried,
-            "num_degraded": self.num_degraded,
-            "num_worker_restarts": self.num_worker_restarts,
-            "num_shed": self.num_shed,
-            "num_admission_shed": self.num_admission_shed,
-            "breaker_state": self.breaker_state,
-            "num_plan_swaps": self.num_plan_swaps,
-        }
 
 
 class Server:
@@ -332,22 +235,8 @@ class Server:
         self._started = False
         self._closed = False
         self._next_id = 0
-        self._records: List[_RequestRecord] = []
-        # Running cycle/energy totals of completed requests' attributions.
-        self._attributed_cycles: Optional[int] = None
-        self._attributed_energy: Optional[EnergyBreakdown] = None
-        self._batches: List[BatchExecution] = []
-        self._model_records: List[_ModelRecord] = []
+        self._ledger = ServingLedger()
         self._implicit_graph: Optional[ModelGraph] = None
-        self._served_model_requests = False
-        self._expired = 0
-        self._cancelled = 0
-        self._degraded = 0
-        self._retry_events = 0
-        self._shed = 0
-        self._admission_sheds = 0
-        self._force_aborted = 0
-        self._plan_swaps = 0
         # Plan-swap barrier: workers register popped batches as in-flight; a
         # swap drains to inflight == 0 while holding new dispatches out.
         self._swap_cv = threading.Condition()
@@ -478,11 +367,8 @@ class Server:
                 now,
             )
         if timed_out:
-            with self._lock:
-                self._force_aborted += len(forced) + len(leftovers)
-        stragglers = aborted + forced + leftovers + self.queue.take_shed()
-        if stragglers:
-            self._finish([], stragglers)
+            self._ledger.count("force_aborted", len(forced) + len(leftovers))
+        self._ledger.fold(aborted + forced + leftovers + self.queue.take_shed())
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -528,8 +414,7 @@ class Server:
                 new_plan.run(name, np.zeros((shape.k, 1), dtype=np.int64))
             self.plan = new_plan
             self.batcher.plan = new_plan
-            with self._lock:
-                self._plan_swaps += 1
+            self._ledger.count("plan_swaps")
         finally:
             with self._swap_cv:
                 self._swap_active = False
@@ -600,7 +485,6 @@ class Server:
             self._check_accepting()
             request_id = self._next_id
             self._next_id += 1
-            self._served_model_requests = True
         now = time.perf_counter()
         # Shed before building: a shed submit never materialises its requests.
         self._admission_shed_check(
@@ -643,7 +527,6 @@ class Server:
             self._check_accepting()
             first_id = self._next_id
             self._next_id += len(activations)
-            self._served_model_requests = True
         submitted_at = time.perf_counter()
         self._admission_shed_check(
             graph.stages[0].layer, deadline_at(submitted_at, deadline_s), qos,
@@ -678,8 +561,7 @@ class Server:
             len(self.queue), self.queue.max_pending,
         )
         if error is not None:
-            with self._lock:
-                self._admission_sheds += count
+            self._ledger.count("admission_shed", count)
             raise error
 
     # ------------------------------------------------- model-level pipeline
@@ -877,23 +759,8 @@ class Server:
             won = model_request._fail(error, now, state)
         else:
             won = model_request._complete(now)
-        if not won:
-            return
-        record = _ModelRecord(
-            state=model_request.state,
-            latency_s=model_request.latency_s,
-            steps=model_request.steps_completed,
-            priority=model_request.priority,
-            deadline_met=(
-                model_request.state == DONE
-                and (
-                    model_request.deadline_at is None
-                    or model_request.finished_at <= model_request.deadline_at
-                )
-            ),
-        )
-        with self._lock:
-            self._model_records.append(record)
+        if won:
+            self._ledger.fold_model(model_request)
 
     def _check_accepting(self) -> None:
         """Reject submissions outside the started-and-open window (locked)."""
@@ -979,7 +846,7 @@ class Server:
             # Block on the queue's condition variable: close() notifies, so
             # shutdown latency is notification-bound, not poll-bound.
             batch = self.queue.next_batch(self.max_batch, timeout=None)
-            self._collect_shed()
+            self._ledger.fold(self.queue.take_shed())
             if batch is None:
                 return
             slot.inflight = batch
@@ -1013,20 +880,16 @@ class Server:
         execution = self._execute_resilient(claimed) if claimed else None
         if execution is not None and self.admission is not None:
             self.admission.observe_batch(
-                execution.layer,
-                execution.batch_size,
-                execution.compute_s
-                if execution.compute_s is not None
-                else execution.duration_s,
+                execution.layer, execution.batch_size, execution.compute_s
             )
         if claimed:
-            busy_s = time.perf_counter() - claim_time
-            compute_s = execution.duration_s if execution is not None else 0.0
-            slot.batches += 1
-            slot.requests += len(claimed)
-            slot.compute_s += compute_s
-            slot.dispatch_s += max(busy_s - compute_s, 0.0)
-        self._finish([execution] if execution is not None else [], batch)
+            self._ledger.fold_worker(
+                slot.index,
+                len(claimed),
+                execution.compute_s if execution is not None else 0.0,
+                time.perf_counter() - claim_time,
+            )
+        self._ledger.fold(batch, execution)
 
     def _execute_resilient(
         self, claimed: List[Request]
@@ -1053,8 +916,6 @@ class Server:
                 ):
                     for request in claimed:
                         request.retries += 1
-                    with self._lock:
-                        self._retry_events += len(claimed)
                     delay = self.retry_policy.backoff_s(attempt)
                     attempt += 1
                     if delay > 0.0:
@@ -1111,11 +972,6 @@ class Server:
             request.attribution = self.plan.attribute(request.layer, request.columns)
             request.fulfil(output, time.perf_counter())
 
-    def _collect_shed(self) -> None:
-        shed = self.queue.take_shed()
-        if shed:
-            self._finish([], shed)
-
     def _report_crash(self, slot: _WorkerSlot, error: BaseException) -> None:
         """Worker-death path: salvage in-flight work, then wake the supervisor."""
         inflight, slot.inflight = slot.inflight, None
@@ -1163,71 +1019,10 @@ class Server:
                     slot.thread.join()
                 self._spawn_worker(slot)
 
-    # ------------------------------------------------------------ accounting
-    def _finish(
-        self, executions: List[BatchExecution], requests: List[Request]
-    ) -> None:
-        """Account finished requests: keep scalar records, and add completed
-        requests' attributions to running totals instead of keeping them."""
-        records = [self._record(request) for request in requests]
-        attributions = [
-            request.attribution
-            for request, record in zip(requests, records)
-            if record.state == DONE and request.attribution is not None
-        ]
-        with self._lock:
-            self._batches.extend(executions)
-            self._records.extend(records)
-            for attribution in attributions:
-                if self._attributed_cycles is None:
-                    self._attributed_cycles = 0
-                    self._attributed_energy = EnergyBreakdown()
-                self._attributed_cycles += attribution.cycles
-                self._attributed_energy = self._attributed_energy.merge(
-                    attribution.energy
-                )
-            for record in records:
-                if record.state == EXPIRED:
-                    self._expired += 1
-                elif record.state == CANCELLED:
-                    self._cancelled += 1
-                elif record.state == SHED:
-                    self._shed += 1
-                if record.degraded:
-                    self._degraded += 1
-
-    @staticmethod
-    def _record(request: Request) -> _RequestRecord:
-        finished_at = (
-            request.finished_at
-            if request.finished_at is not None
-            else time.perf_counter()
-        )
-        return _RequestRecord(
-            layer=request.layer,
-            columns=request.columns,
-            state=request.state,
-            submitted_at=request.submitted_at,
-            finished_at=finished_at,
-            latency_s=finished_at - request.submitted_at,
-            queue_delay_s=(
-                request.started_at - request.submitted_at
-                if request.started_at is not None
-                else 0.0
-            ),
-            retries=request.retries,
-            degraded=request.degraded,
-            priority=request.priority,
-            deadline_met=(
-                request.state == DONE
-                and (
-                    request.deadline_at is None
-                    or finished_at <= request.deadline_at
-                )
-            ),
-        )
-
     # ------------------------------------------------------------ monitoring
+    def _breaker_state(self) -> str:
+        return self.breaker.state if self.breaker is not None else "disabled"
+
     def health(self) -> ServerHealth:
         """Live liveness and fault-tolerance counters (safe to poll anytime)."""
         with self._supervisor_cv:
@@ -1236,13 +1031,6 @@ class Server:
         with self._lock:
             started = self._started
             closed = self._closed
-            expired = self._expired
-            cancelled = self._cancelled
-            degraded = self._degraded
-            retried = self._retry_events
-            shed = self._shed
-            admission_shed = self._admission_sheds
-            plan_swaps = self._plan_swaps
         return ServerHealth(
             started=started,
             closed=closed,
@@ -1251,36 +1039,14 @@ class Server:
             queue_depth=len(self.queue),
             queue_capacity=self.queue.max_pending,
             num_rejected=self.queue.rejected,
-            num_expired=expired,
-            num_cancelled=cancelled,
-            num_retried=retried,
-            num_degraded=degraded,
             num_worker_restarts=restarts,
-            num_shed=shed,
-            num_admission_shed=admission_shed,
-            breaker_state=(
-                self.breaker.state if self.breaker is not None else "disabled"
-            ),
-            num_plan_swaps=plan_swaps,
+            breaker_state=self._breaker_state(),
+            **self._ledger.counters(),
         )
-
-    def _shard_stats(self) -> List[ShardStats]:
-        """Per-worker utilization from the worker slots' counters."""
-        with self._lock:
-            return [
-                ShardStats(
-                    shard=slot.index,
-                    batches=slot.batches,
-                    requests=slot.requests,
-                    compute_s=slot.compute_s,
-                    dispatch_s=slot.dispatch_s,
-                )
-                for slot in self._slots
-            ]
 
     # ------------------------------------------------------------ reporting
     def report(self) -> ServingReport:
-        """Build the serving report from every request completed so far.
+        """Derive the serving report from the ledger of finished requests.
 
         Well-formed even before any request finishes (all-zero throughput and
         percentiles), so health/monitoring code can poll it safely.
@@ -1288,146 +1054,20 @@ class Server:
         with self._supervisor_cv:
             restarts = self._restarts_used
         with self._lock:
-            records = list(self._records)
-            batches = list(self._batches)
-            model_records = list(self._model_records)
-            served_models = self._served_model_requests
-            admission_sheds = self._admission_sheds
-            plan_swaps = self._plan_swaps
-            force_aborted = self._force_aborted
-            attributed_cycles = self._attributed_cycles
-            attributed_energy = self._attributed_energy
-        done = [record for record in records if record.state == DONE]
-        failed = sum(1 for record in records if record.state == FAILED)
-        expired = sum(1 for record in records if record.state == EXPIRED)
-        cancelled = sum(1 for record in records if record.state == CANCELLED)
-        shed = sum(1 for record in records if record.state == SHED)
-        retried = sum(record.retries for record in records)
-        degraded = sum(1 for record in done if record.degraded)
-        met = [record for record in done if record.deadline_met]
-        met_by_priority: Dict[int, int] = {}
-        for record in met:
-            met_by_priority[record.priority] = (
-                met_by_priority.get(record.priority, 0) + 1
-            )
-
-        requests_per_layer: Dict[str, int] = {}
-        for record in done:
-            requests_per_layer[record.layer] = (
-                requests_per_layer.get(record.layer, 0) + 1
-            )
-
-        op_counts = None
-        for execution in batches:
-            if execution.op_counts is None:
-                continue
-            op_counts = (
-                execution.op_counts
-                if op_counts is None
-                else op_counts.merge(execution.op_counts)
-            )
-
-        # Per-run plan-cache accounting: every successful batch reused a
-        # precompiled scoreboard (hit); the misses are the offline scoreboard
-        # compilations of the layers this run actually served.
-        successful_batches = [b for b in batches if b.op_counts is not None]
-
-        wall_s = (
-            max(record.finished_at for record in records)
-            - min(record.submitted_at for record in records)
-            if records
-            else 0.0
-        )
-        stages: List[StageStats] = []
-        pipeline_depth = 0
+            # Any request id handed out means a model request got past the
+            # open check, so the implicit one-layer chain is being served.
+            admitted = self._next_id > 0
         graph = self.plan.graph
-        if graph is None and served_models:
+        if graph is None and admitted:
             graph = self._implicit_graph
-        if graph is not None:
-            pipeline_depth = len(graph)
-            stages = self._stage_stats(graph, records, batches, wall_s)
-        model_done = [r for r in model_records if r.state == DONE]
-        return build_report(
+        return self._ledger.report(
             workload=self.plan.name,
-            latencies_s=[record.latency_s for record in done],
-            queue_delays_s=[record.queue_delay_s for record in done],
-            wall_s=wall_s,
-            total_columns=sum(record.columns for record in done),
-            num_failed=failed,
+            stage_layers=graph.layers if graph is not None else (),
+            num_workers=len(self._slots),
             num_rejected=self.queue.rejected,
-            batch_sizes=[execution.batch_size for execution in batches],
-            requests_per_layer=requests_per_layer,
-            plan_hits=len(successful_batches),
-            plan_misses=len({b.layer for b in successful_batches}),
-            op_counts=op_counts,
-            scoreboard_cache=self.plan.engine.scoreboard_cache_info(),
-            attributed_cycles=attributed_cycles,
-            attributed_energy=attributed_energy,
-            num_expired=expired,
-            num_cancelled=cancelled,
-            num_retried=retried,
-            num_degraded=degraded,
             num_worker_restarts=restarts,
+            scoreboard_cache=self.plan.engine.scoreboard_cache_info(),
             compile_stats=getattr(self.plan, "compile_stats", None),
-            shards=self._shard_stats(),
-            stages=stages,
-            model_latencies_s=[record.latency_s for record in model_done],
-            num_model_failed=len(model_records) - len(model_done),
-            pipeline_depth=pipeline_depth,
-            num_shed=shed,
-            num_admission_shed=admission_sheds,
             breaker_trips=self.breaker.trips if self.breaker is not None else 0,
-            breaker_state=(
-                self.breaker.state if self.breaker is not None else "disabled"
-            ),
-            num_plan_swaps=plan_swaps,
-            num_force_aborted=force_aborted,
-            num_deadline_met=len(met),
-            deadline_met_by_priority=met_by_priority,
+            breaker_state=self._breaker_state(),
         )
-
-    @staticmethod
-    def _stage_stats(
-        graph: ModelGraph,
-        records: List[_RequestRecord],
-        batches: List[BatchExecution],
-        wall_s: float,
-    ) -> List[StageStats]:
-        """Per-pipeline-stage breakdown from the per-layer accounting.
-
-        Stages map 1:1 to layers in a model graph, so the stage's requests
-        are the records against its layer and its compute time is the summed
-        engine-pass time of that layer's batches.  ``occupancy`` divides by
-        the run's wall-clock: overlapped pipelines push the stage occupancies
-        toward the worker count, serial execution keeps their sum under 1.
-        """
-        wall = max(wall_s, 1e-12)
-        stages: List[StageStats] = []
-        for index, spec in enumerate(graph.stages):
-            layer_records = [r for r in records if r.layer == spec.layer]
-            layer_done = [r for r in layer_records if r.state == DONE]
-            layer_batches = [b for b in batches if b.layer == spec.layer]
-            compute_s = sum(
-                b.compute_s if b.compute_s is not None else b.duration_s
-                for b in layer_batches
-            )
-            latencies = [r.latency_s for r in layer_done]
-            waits = [r.queue_delay_s for r in layer_done]
-            stages.append(
-                StageStats(
-                    stage=index,
-                    layer=spec.layer,
-                    requests=len(layer_done),
-                    batches=len(layer_batches),
-                    compute_s=compute_s,
-                    queue_wait_mean_s=sum(waits) / len(waits) if waits else 0.0,
-                    latency_mean_s=(
-                        sum(latencies) / len(latencies) if latencies else 0.0
-                    ),
-                    latency_p95_s=(
-                        float(np.percentile(latencies, 95.0)) if latencies else 0.0
-                    ),
-                    occupancy=compute_s / wall,
-                )
-            )
-        return stages

@@ -80,6 +80,12 @@ class TestRemovedLayerSurface:
         with pytest.raises(TypeError, match=option):
             Server(_plan(), **{option: value})
 
+    def test_report_builder_is_not_exported(self):
+        # The report is derived from the server's ledger, not assembled
+        # from loose samples by the caller.
+        assert "build_report" not in serving.__all__
+        assert not hasattr(serving, "build_report")
+
     @pytest.mark.parametrize("name", [
         "EXECUTION_MODES", "ArraySpec", "ShmRing", "cleanup_orphan_segments",
         "ProcessWorkerPool", "ShardResult",

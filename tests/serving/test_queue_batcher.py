@@ -5,9 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import BackpressureError, ServingError
-from repro.serving import MicroBatcher, RequestQueue, compile_workload
-from repro.serving.request import DONE, FAILED, Request
+from repro.errors import BackpressureError, InjectedFaultError, ServingError
+from repro.serving import (
+    FaultInjector,
+    FaultPlan,
+    MicroBatcher,
+    RequestQueue,
+    Server,
+    compile_workload,
+)
+from repro.serving.request import DONE, FAILED, RUNNING, Request
 from repro.workloads import synthetic_gemm_workload
 
 
@@ -57,6 +64,14 @@ class TestRequestQueue:
             queue.next_batch(max_batch=0)
 
 
+def _claimed(requests):
+    """Claim requests the way a worker does before ``execute_once``."""
+    now = time.perf_counter()
+    for request in requests:
+        assert request.try_claim(now, len(requests))
+    return requests
+
+
 class TestMicroBatcher:
     def _plan(self):
         workload = synthetic_gemm_workload(num_layers=2, n=8, k=6, m=4, weight_bits=4)
@@ -65,10 +80,13 @@ class TestMicroBatcher:
     def test_batch_outputs_match_per_request_matmul(self):
         plan = self._plan()
         batcher = MicroBatcher(plan)
-        requests = [_request(i, "layer0", cols=i + 1) for i in range(3)]
-        execution = batcher.execute(requests)
+        requests = _claimed([_request(i, "layer0", cols=i + 1) for i in range(3)])
+        execution = batcher.execute_once(requests)
         assert execution.batch_size == 3
         assert execution.total_columns == 6
+        assert 0.0 < execution.compute_s <= (
+            execution.finished_at - execution.started_at
+        )
         weight = plan.layer("layer0").weight
         for request in requests:
             assert request.state == DONE
@@ -78,20 +96,44 @@ class TestMicroBatcher:
     def test_mixed_layer_batch_rejected_and_empty_batch(self):
         plan = self._plan()
         batcher = MicroBatcher(plan)
-        with pytest.raises(ServingError):
-            batcher.execute([_request(0, "layer0"), _request(1, "layer1")])
-        with pytest.raises(ServingError):
-            batcher.execute([])
+        mixed = _claimed([_request(0, "layer0"), _request(1, "layer1")])
+        with pytest.raises(ServingError, match="mixes layers"):
+            batcher.execute_once(mixed)
+        assert all(request.state == RUNNING for request in mixed)
+        with pytest.raises(ServingError, match="empty"):
+            batcher.execute_once([])
 
-    def test_engine_error_fails_every_request_without_raising(self):
+    def test_engine_error_leaves_requests_untouched(self):
         plan = self._plan()
         batcher = MicroBatcher(plan)
-        # wrong activation row count -> the engine pass fails; the error must
-        # land on the requests, not escape the worker
-        bad = [_request(0, "layer0", k=5), _request(1, "layer0", k=5)]
-        execution = batcher.execute(bad)
-        assert execution.op_counts is None
+        # wrong activation row count -> the engine pass fails; the error
+        # propagates and the caller decides the requests' fate
+        bad = _claimed([_request(0, "layer0", k=5), _request(1, "layer0", k=5)])
+        with pytest.raises(Exception):
+            batcher.execute_once(bad)
         for request in bad:
-            assert request.state == FAILED
-            with pytest.raises(Exception):
-                request.result(timeout=0.1)
+            assert request.state == RUNNING
+            assert not request.done()
+            assert request.attribution is None
+
+
+class TestBatchFailureWithoutRecovery:
+    def test_engine_error_fails_every_request(self):
+        workload = synthetic_gemm_workload(num_layers=1, n=8, k=6, m=1, weight_bits=4)
+        plan = compile_workload(workload, seed=3)
+        faults = FaultInjector(plan=FaultPlan(engine_faults_at=frozenset({1})))
+        server = Server(
+            plan, num_workers=1, max_batch=4, retry_policy=None,
+            degraded_fallback=False, faults=faults,
+        )
+        activations = [np.ones((6, 1), dtype=np.int64) for _ in range(3)]
+        with server:
+            handles = server.submit_many(activations)
+            for handle in handles:
+                with pytest.raises(InjectedFaultError):
+                    handle.result(timeout=10.0)
+        report = server.report()
+        assert (report.num_failed, report.num_requests, report.num_batches) == (
+            3, 0, 0)
+        assert report.num_retried == 0 and report.num_degraded == 0
+        assert [handle.state for handle in handles] == [FAILED] * 3
