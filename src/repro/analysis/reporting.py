@@ -77,12 +77,6 @@ def format_serving_report(report: "ServingReport") -> str:
         ("plan cache hit rate", f"{report.plan_hit_rate:.1%} "
                                 f"({report.plan_hits} hits / {report.plan_misses} compiles)"),
     ]
-    if report.scoreboard_cache is not None:
-        cache = report.scoreboard_cache
-        rows.append(
-            ("engine LRU cache", f"{cache.hits} hits / {cache.misses} misses "
-                                 f"({cache.entries} entries)")
-        )
     for layer, count in sorted(report.requests_per_layer.items()):
         rows.append((f"requests[{layer}]", count))
     if report.op_counts is not None:

@@ -21,14 +21,15 @@ Two execution paths produce identical outputs and identical
   (:mod:`repro.scoreboard.batched`), materialises every prefix-reuse partial
   sum level-by-level with fancy-indexed gather-adds across chunks, and folds
   the TransRow results into the output with array reductions.  A small LRU
-  cache keyed on the weight matrix ("static scoreboard" serving mode) lets
-  repeated inference over new activations skip bit-slicing and scoreboarding
-  entirely.
+  cache keyed on the weight matrix lets repeated :meth:`multiply` calls over
+  new activations skip bit-slicing and scoreboarding entirely.
 
 On top of both, :meth:`TransitiveGemmEngine.plan` compiles a weight matrix
-**once, offline** into a :class:`GemmPlan`: the scoreboard's packed TransRows
-and exact OpCounts, plus read-only float32 and float64 copies of the weights
-and their static row bound ``B = max_row sum|w|``.  Planned execution
+**once, offline** into a :class:`GemmPlan`: the weight codes in their
+narrowest integer dtype, the scoreboard's exact OpCounts, read-only float32
+and float64 copies of the weights and their static row bound
+``B = max_row sum|w|`` — 13 bytes per INT8 (or narrower) weight.  The packed
+TransRows exist only while ``plan()`` counts operations.  Planned execution
 (:meth:`TransitiveGemmEngine.multiply_planned`,
 :meth:`TransitiveGemmEngine.multiply_many`) serves ``weight @ activation``
 through :func:`exact_matmul`, which picks the fastest arithmetic the bound
@@ -49,7 +50,7 @@ import numpy as np
 
 from ..bitslice.slicer import bit_plane_weights, bit_slice
 from ..bitslice.packing import pack_bits_to_uint
-from ..errors import SimulationError
+from ..errors import BitSliceError, SimulationError
 from ..hasse.graph import hasse_graph
 from ..scoreboard.algorithm import ScoreboardResult, run_scoreboard
 from ..scoreboard.batched import (
@@ -110,12 +111,14 @@ class ScoreboardCacheInfo:
 
 @dataclass(frozen=True, eq=False)
 class GemmPlan:
-    """Precompiled scoreboard state of one weight matrix.
+    """Precompiled state of one weight matrix: what serving and the cost
+    model read, nothing more.
 
     This is the offline half of the paper's *static scoreboard* serving mode
     made explicit: the weights are bit-sliced, packed and scoreboarded exactly
-    once, and the resulting packed TransRow values plus merged
-    :class:`~repro.core.metrics.OpCounts` are pinned in this handle.  Online
+    once, and only the merged :class:`~repro.core.metrics.OpCounts` are kept.
+    ``weight`` holds the codes in the narrowest signed integer dtype of
+    ``weight_bits`` (int8 up to 8 bits, int16 up to 16, ...).  Online
     execution against the plan (:meth:`TransitiveGemmEngine.multiply_planned`
     and :meth:`TransitiveGemmEngine.multiply_many`) skips weight
     fingerprinting, bit-slicing and scoreboarding entirely and goes straight
@@ -126,14 +129,13 @@ class GemmPlan:
     ``weight_f64``, read-only float copies of the weights, certified exact by
     the static row bound ``row_bound = max_row sum|w|`` (a Python int).
     Outputs stay bit-identical to the scalar oracle and the OpCounts stay the
-    scoreboard's.
+    scoreboard's.  An INT8 plan pins 13 bytes per weight (1 + 4 + 8).
     """
 
     weight: np.ndarray
     weight_bits: int
     transrow_bits: int
     max_distance: int
-    packed: np.ndarray
     op_counts: OpCounts
     weight_f32: np.ndarray
     weight_f64: np.ndarray
@@ -155,6 +157,14 @@ class GemmPlan:
     def k(self) -> int:
         """Reduction dimension (weight columns / activation rows)."""
         return int(self.weight.shape[1])
+
+
+def _code_dtype(weight_bits: int) -> type:
+    """Narrowest signed integer dtype holding ``weight_bits``-bit codes."""
+    return next(
+        dtype for dtype in (np.int8, np.int16, np.int32, np.int64)
+        if weight_bits <= np.iinfo(dtype).bits
+    )
 
 
 def _row_bound(weight: np.ndarray) -> int:
@@ -270,8 +280,9 @@ class _StaticScoreboardCache:
 
     The key fingerprints the weight bytes plus every parameter that affects
     scoreboarding, so a hit is guaranteed to reproduce the exact chunk values
-    and operation counts of a fresh run.  This is the serving scenario of the
-    paper's *static* scoreboard: weights are fixed, activations stream by.
+    and operation counts of a fresh run.  Only
+    :meth:`TransitiveGemmEngine.multiply` uses it; a :class:`GemmPlan` keeps
+    its counts and drops the TransRows.
     """
 
     def __init__(self, max_entries: int) -> None:
@@ -401,24 +412,37 @@ class TransitiveGemmEngine:
     def plan(self, weight: np.ndarray, weight_bits: int) -> GemmPlan:
         """Precompute the static scoreboard of one weight matrix, offline.
 
-        Bit-slices, packs and scoreboards the weights exactly once and returns
-        a :class:`GemmPlan` handle, which also pins the float32 and float64
-        weights and the row bound :func:`exact_matmul` serves from.  Executions against the
-        handle (:meth:`multiply_planned`, :meth:`multiply_many`) skip the
-        per-call weight fingerprint and all weight-side work; the LRU cache is
-        warmed as a side effect so plain :meth:`multiply` calls with the same
-        weights also hit.
+        Bit-slices, packs and scoreboards the weights exactly once, keeps the
+        OpCounts and drops the packed TransRows.  The returned
+        :class:`GemmPlan` pins the weight codes in their narrowest integer
+        dtype, the float32 and float64 weights and the row bound
+        :func:`exact_matmul` serves from.  Executions against the handle
+        (:meth:`multiply_planned`, :meth:`multiply_many`) skip the per-call
+        weight fingerprint and all weight-side work.  The LRU cache of
+        :meth:`multiply` is neither read nor filled.
         """
-        # Pin the compiled weights: a caller-side mutation after plan() must
-        # not desynchronise plan.weight from the packed TransRows.
-        weight = np.array(weight, copy=True)
-        weight.setflags(write=False)
+        weight = np.asarray(weight)
         if weight.ndim != 2:
             raise SimulationError("weight must be a 2-D matrix")
         if weight.shape[1] == 0 or weight.shape[0] == 0:
             raise SimulationError("cannot plan a weight matrix with a zero dimension")
-        packed, counts, _ = self._packed_transrows_cached(weight, weight_bits)
-        packed.setflags(write=False)  # shared with the LRU cache; never written
+        try:
+            packed = self._pack_all_chunks(weight, weight_bits)
+        except BitSliceError as error:
+            raise SimulationError(
+                f"cannot plan {weight_bits}-bit weights: {error}"
+            ) from error
+        counts = batched_total_op_counts(
+            packed.reshape(packed.shape[0], -1).astype(np.int64),
+            width=self.transrow_bits,
+            max_distance=self.max_distance,
+        )
+        del packed
+        # bit_slice range-checked every code against weight_bits, so the
+        # narrowing cast cannot wrap; it also copies, so a caller-side
+        # mutation after plan() cannot reach the plan.
+        weight = weight.astype(_code_dtype(weight_bits))
+        weight.setflags(write=False)
         start = time.perf_counter()
         weight_f32 = weight.astype(np.float32)
         weight_f32.setflags(write=False)
@@ -430,7 +454,6 @@ class TransitiveGemmEngine:
             weight_bits=weight_bits,
             transrow_bits=self.transrow_bits,
             max_distance=self.max_distance,
-            packed=packed,
             op_counts=counts,
             weight_f32=weight_f32,
             weight_f64=weight_f64,
@@ -458,22 +481,6 @@ class TransitiveGemmEngine:
             )
         return TransitiveGemmReport(
             output=exact_matmul(plan, activation), op_counts=plan.op_counts
-        )
-
-    def _interpret_planned(self, plan: GemmPlan, activation: np.ndarray) -> np.ndarray:
-        """Interpreted planned execution: batched gather/accumulate stages.
-
-        The fast path's prefix-reuse walk over the plan's packed TransRows,
-        kept as the baseline the planned-path benchmark times.
-        """
-        width = self.transrow_bits
-        num_chunks = plan.packed.shape[0]
-        n_out_cols = activation.shape[1]
-        act_full = np.zeros((num_chunks * width, n_out_cols), dtype=np.int64)
-        act_full[: plan.k] = activation
-        act = act_full.reshape(num_chunks, width, n_out_cols)
-        return self._batched_node_results_and_accumulate(
-            plan.packed, act, bit_plane_weights(plan.weight_bits), plan.n, n_out_cols
         )
 
     def multiply_many(
@@ -575,7 +582,7 @@ class TransitiveGemmEngine:
 
         Both depend only on the weight matrix, so they are served from the
         static-scoreboard LRU cache whenever the same weights (same bytes,
-        same parameters) are multiplied again — the serving fast path.  With
+        same parameters) are multiplied again.  With
         ``want_batch`` the full batched scoreboard state is returned as well
         (rebuilt from the cached packed values on a hit), so callers needing
         per-chunk results never scoreboard twice.

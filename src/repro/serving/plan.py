@@ -93,7 +93,8 @@ class LayerPlan:
 
     @property
     def weight(self) -> np.ndarray:
-        """The compiled (read-only) weight matrix, pinned by the engine plan."""
+        """The compiled (read-only) weight codes, pinned by the engine plan in
+        the narrowest integer dtype of the layer's bits."""
         return self.gemm_plan.weight
 
     @property
@@ -107,7 +108,7 @@ class ModelPlan:
 
     Produced by :func:`compile_workload` and immutable afterwards, so any
     number of servers (and direct :meth:`run` callers) can share one plan;
-    serving-run statistics such as the plan-cache hit rate are tracked by the
+    serving-run statistics are tracked by the
     :class:`~repro.serving.server.Server` that executes against it.
     """
 
@@ -315,8 +316,8 @@ def compile_workload(
         attention layer, ResNet-18, synthetic) — compilation walks its
         :meth:`~repro.workloads.gemm.GemmWorkload.layers`.
     engine:
-        Functional engine to compile with; a fast-path engine sized so every
-        layer's scoreboard also fits the LRU cache is built by default.
+        Functional engine to compile with; a default
+        :class:`~repro.core.TransitiveGemmEngine` (``T = 8``) otherwise.
     weight_provider:
         Optional callable returning real ``(N, K)`` weights per layer;
         synthetic quantized weights are sampled otherwise (seeded, so a plan
@@ -361,11 +362,7 @@ def compile_workload(
             )
         shapes = [by_name[name] for name in wanted]
     if engine is None:
-        engine = TransitiveGemmEngine(
-            transrow_bits=8,
-            fast=True,
-            scoreboard_cache_entries=max(8, len(shapes)),
-        )
+        engine = TransitiveGemmEngine()
     schemes = dict(quant_schemes) if quant_schemes else {}
     known = {shape.name for shape in shapes}
     unknown_layers = sorted(name for name in schemes if name not in known)

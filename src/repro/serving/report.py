@@ -23,7 +23,6 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.metrics import OpCounts
-from ..core.transitive_gemm import ScoreboardCacheInfo
 from ..energy.breakdown import EnergyBreakdown
 from ..errors import ServingError
 from .batcher import BatchExecution
@@ -147,7 +146,6 @@ class ServingReport:
     plan_misses: int
     requests_per_layer: Dict[str, int] = field(default_factory=dict)
     op_counts: Optional[OpCounts] = None
-    scoreboard_cache: Optional[ScoreboardCacheInfo] = None
     attributed_cycles: Optional[int] = None
     attributed_energy: Optional[EnergyBreakdown] = None
     #: Offline-compilation statistics of the served plan (compile and
@@ -248,13 +246,6 @@ class ServingReport:
         if self.op_counts is not None:
             summary["transitive_ops"] = self.op_counts.transitive_ops
             summary["density"] = self.op_counts.density
-        if self.scoreboard_cache is not None:
-            summary["engine_cache"] = {
-                "hits": self.scoreboard_cache.hits,
-                "misses": self.scoreboard_cache.misses,
-                "entries": self.scoreboard_cache.entries,
-                "hit_rate": self.scoreboard_cache.hit_rate,
-            }
         if self.attributed_cycles is not None:
             summary["attributed_cycles"] = self.attributed_cycles
         if self.attributed_energy is not None:
@@ -542,7 +533,6 @@ class ServingLedger:
         num_workers: int,
         num_rejected: int,
         num_worker_restarts: int,
-        scoreboard_cache: Optional[ScoreboardCacheInfo],
         compile_stats: Optional[CompileStats],
         breaker_trips: int,
         breaker_state: str,
@@ -623,7 +613,6 @@ class ServingLedger:
                 if layer.states[DONE]
             },
             op_counts=op_counts,
-            scoreboard_cache=scoreboard_cache,
             attributed_cycles=attributed_cycles,
             attributed_energy=attributed_energy,
             compile_stats=compile_stats,

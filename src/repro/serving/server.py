@@ -1066,7 +1066,6 @@ class Server:
             num_workers=len(self._slots),
             num_rejected=self.queue.rejected,
             num_worker_restarts=restarts,
-            scoreboard_cache=self.plan.engine.scoreboard_cache_info(),
             compile_stats=getattr(self.plan, "compile_stats", None),
             breaker_trips=self.breaker.trips if self.breaker is not None else 0,
             breaker_state=self._breaker_state(),

@@ -129,8 +129,7 @@ def kernel_plan(weight: np.ndarray) -> GemmPlan:
     wide to scoreboard."""
     weight = np.asarray(weight, dtype=np.int64)
     return GemmPlan(
-        weight=weight, weight_bits=64, transrow_bits=8, max_distance=4,
-        packed=np.zeros((0, 0, 0), dtype=np.uint16), op_counts=None,
+        weight=weight, weight_bits=64, transrow_bits=8, max_distance=4, op_counts=None,
         weight_f32=weight.astype(np.float32), weight_f64=weight.astype(np.float64),
         row_bound=_row_bound(weight),
     )

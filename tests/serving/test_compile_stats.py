@@ -41,6 +41,13 @@ class TestCompileStats:
             assert gemm_plan.row_bound == expected
             assert isinstance(gemm_plan.row_bound, int)
 
+    def test_weights_are_pinned_in_their_narrowest_dtype(self):
+        # OliVe's outlier codes widen its 8-bit layer past int8.
+        plan = compile_workload(_workload(), quant_schemes={"layer0": "olive-8"})
+        assert 8 < plan.compile_stats.per_layer_bits["layer0"] <= 16
+        assert plan.layer("layer0").weight.dtype == np.int16
+        assert plan.layer("layer1").weight.dtype == np.int8
+
     def test_as_dict_round_trips_the_bench_schema(self):
         stats = compile_workload(_workload()).compile_stats.as_dict()
         assert set(stats) == {

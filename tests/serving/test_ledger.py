@@ -34,7 +34,7 @@ REPORT_KEYS = {
     "latency_mean_s", "latency_p50_s", "latency_p95_s", "latency_p99_s",
     "queue_delay_mean_s", "num_batches", "mean_batch_size", "max_batch_size",
     "plan_hits", "plan_misses", "plan_hit_rate", "requests_per_layer",
-    "transitive_ops", "density", "engine_cache", "compile_stats", "num_shed",
+    "transitive_ops", "density", "compile_stats", "num_shed",
     "num_admission_shed", "breaker_trips", "breaker_state", "num_plan_swaps",
     "num_force_aborted", "num_deadline_met", "goodput_rps",
     "goodput_by_priority", "queue_wait_s_total", "compute_s_total",
@@ -142,7 +142,6 @@ class TestPinnedReport:
         assert report.plan_hit_rate == 3 / 5
         assert report.requests_per_layer == {"layer0": 4, "layer1": 3}
         assert report.op_counts == OpCounts(4, 30, 3, 6, 5, 11, 1, 59)
-        assert report.scoreboard_cache == plan.engine.scoreboard_cache_info()
         assert report.compile_stats is plan.compile_stats
         assert report.attributed_cycles is None
         assert report.attributed_energy is None

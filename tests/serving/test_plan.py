@@ -1,5 +1,8 @@
 """Model-plan compilation and planned execution: exactness and validation."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,14 +69,41 @@ class TestGemmPlan:
         for activation, output in zip(activations, report.outputs):
             assert np.array_equal(output, weight @ activation)
 
-    def test_plan_warms_the_lru_cache(self):
+    def test_plan_leaves_the_lru_cache_untouched(self):
         rng = np.random.default_rng(2)
         engine = TransitiveGemmEngine(transrow_bits=8)
         weight = rng.integers(-8, 8, size=(10, 10), dtype=np.int64)
+        before = engine.scoreboard_cache_info()
         engine.plan(weight, weight_bits=4)
+        assert engine.scoreboard_cache_info() == before
         activation = rng.integers(-4, 4, size=(10, 2), dtype=np.int64)
         engine.multiply(weight, activation, 4)
-        assert engine.scoreboard_cache_info().hits >= 1
+        info = engine.scoreboard_cache_info()
+        assert (info.hits, info.misses, info.entries) == (0, 1, 1)
+
+    def test_plan_retains_at_most_13_5_bytes_per_weight(self):
+        # int8 codes (1 B) + float32 (4 B) + float64 (8 B) copies; no packed
+        # TransRows in the plan or the engine's cache.
+        rng = np.random.default_rng(5)
+        weight = rng.integers(-8, 8, size=(512, 512), dtype=np.int64)
+        TransitiveGemmEngine().plan(weight[:16, :16], weight_bits=4)  # lattice tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = TransitiveGemmEngine()
+            plan = engine.plan(weight, weight_bits=4)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plan.weight.dtype == np.int8
+        assert retained / weight.size <= 13.5
+        assert engine.scoreboard_cache_info().entries == 0
+
+    def test_compiled_engine_cache_stays_empty(self):
+        plan = compile_workload(_workload(), seed=2)
+        assert plan.engine.scoreboard_cache_info().entries == 0
 
     def test_plan_validation(self):
         rng = np.random.default_rng(3)
@@ -82,6 +112,18 @@ class TestGemmPlan:
         plan = engine.plan(weight, weight_bits=4)
         with pytest.raises(SimulationError):
             engine.plan(np.zeros(3), weight_bits=4)  # not 2-D
+        # The range check runs before the narrowing cast: no code outside
+        # weight_bits may wrap into the pinned int8 weights (2**40 would
+        # become 0).
+        for bits, value, dtype in (
+            (8, 128, np.int16), (8, 128, np.int64), (8, -129, np.int16),
+            (8, -129, np.int64), (4, 8, np.int8), (4, 8, np.int64),
+            (8, 2**40, np.int64), (8, -(2**63), np.int64),
+        ):
+            bad = np.zeros((6, 6), dtype=dtype)
+            bad[2, 3] = value
+            with pytest.raises(SimulationError):
+                engine.plan(bad, weight_bits=bits)
         with pytest.raises(SimulationError):
             engine.multiply_planned(plan, np.zeros((5, 2), dtype=np.int64))  # bad k
         with pytest.raises(SimulationError):
