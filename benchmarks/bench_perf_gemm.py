@@ -7,7 +7,8 @@ Two measurements anchor the performance trajectory of the engine:
   the acceptance gate is a >= 10x speedup;
 * ``llama_fc_4096``: the fast path and the compiled plan on a LLaMA-7B-style
   FC layer (8-bit weights): cold, warm static-scoreboard cache, plan compile
-  time split into scoreboard and kernel-build seconds, and the planned path
+  time split into scoreboard and kernel-build seconds, the ``pack_transrows``
+  time of the layer's weights (recorded, not gated), and the planned path
   through ``exact_matmul`` (the serving hot path) against the fastest exact
   alternative, one float64 BLAS product ``rint(weight_f64 @ x)`` (exact
   because ``B * max|x| < 2**53`` here).  The planned gate asserts the
@@ -48,6 +49,7 @@ import blas_env  # noqa: E402 - pins BLAS threads before NumPy loads
 
 import numpy as np  # noqa: E402
 
+from repro.bitslice import pack_transrows  # noqa: E402
 from repro.core import TransitiveGemmEngine  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -156,6 +158,7 @@ def bench_llama_fc(shape):
     plan_start = time.perf_counter()
     plan = compiler.plan(weight, 8)
     plan_compile_s = time.perf_counter() - plan_start
+    pack_s, _ = _time(lambda: pack_transrows(weight, 8, 8), repeats=3)
     planned_s, planned_report = _time(
         lambda: compiler.multiply_planned(plan, activation), repeats=5
     )
@@ -182,6 +185,7 @@ def bench_llama_fc(shape):
         "fast_cold_s": cold_s,
         "fast_cached_s": warm_s,
         "plan_compile_s": plan_compile_s,
+        "pack_s": pack_s,
         "scoreboard_s": plan_compile_s - plan.kernel_build_s,
         "kernel_build_s": plan.kernel_build_s,
         "kernel_bytes": plan.kernel_bytes,
@@ -283,7 +287,8 @@ def _print_results(scale, results):
           f"({llama['planned_speedup_vs_float64']:.2f}x) "
           f"vs int64 {llama['int64_s'] * 1e3:.2f} ms "
           f"({llama['planned_speedup_vs_int64']:.1f}x) "
-          f"(compile: scoreboard {llama['scoreboard_s']:.3f} s, "
+          f"(compile: scoreboard {llama['scoreboard_s']:.3f} s "
+          f"incl. packing {llama['pack_s']:.3f} s, "
           f"kernel build {llama['kernel_build_s'] * 1e3:.1f} ms, "
           f"{llama['kernel_bytes'] / 1024:.0f} KiB float32+float64)")
     sweep = results["column_sweep"]

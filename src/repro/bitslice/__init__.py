@@ -17,13 +17,7 @@ from .slicer import (
     reconstruct_from_binary,
     sliced_gemm,
 )
-from .transrow import (
-    TransRow,
-    extract_transrows,
-    transrow_matrix_from_values,
-    num_column_chunks,
-)
-from .packing import pack_bits_to_uint, unpack_uint_to_bits, popcount
+from .packing import pack_bits_to_uint, pack_transrows, unpack_uint_to_bits, popcount
 
 __all__ = [
     "BitPlanes",
@@ -33,11 +27,8 @@ __all__ = [
     "reconstruct_from_planes",
     "reconstruct_from_binary",
     "sliced_gemm",
-    "TransRow",
-    "extract_transrows",
-    "transrow_matrix_from_values",
-    "num_column_chunks",
     "pack_bits_to_uint",
+    "pack_transrows",
     "unpack_uint_to_bits",
     "popcount",
 ]

@@ -15,6 +15,58 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BitSliceError
+from .slicer import _validate_signed_range
+
+
+def pack_transrows(weight: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """Pack every ``width``-bit TransRow of a signed weight matrix at once.
+
+    Parameters
+    ----------
+    weight:
+        Integer matrix of shape ``(N, K)`` whose values fit in ``bits``-bit
+        two's complement.
+    bits:
+        Weight precision ``S`` (number of bit planes).
+    width:
+        TransRow width ``T`` in ``[1, 16]``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(ceil(K / T), N, S)`` uint16 array: entry ``[c, n, s]`` is the packed
+        value of plane ``s`` (LSB = 0) of row ``n`` over columns
+        ``[c*T, (c+1)*T)``, bit ``T-1-j`` standing for column ``c*T + j``.  The
+        last chunk is zero-padded on the right.
+
+    The codes are range-checked before any cast, then packed straight from
+    their narrowest unsigned representation: no bit-plane stack and no int64
+    accumulator is built.
+    """
+    weight = np.asarray(weight)
+    _validate_signed_range(weight, bits)
+    if width < 1 or width > 16:
+        raise BitSliceError(f"TransRow width must be in [1, 16], got {width}")
+    n_rows, n_cols = weight.shape
+    chunks = -(-n_cols // width)
+    unsigned = next(
+        dtype for dtype in (np.uint8, np.uint16, np.uint32)
+        if bits <= np.iinfo(dtype).bits
+    )
+    # The unsafe cast keeps the low bits of every two's-complement code; the
+    # mask then drops the sign extension above plane bits-1.
+    codes = np.zeros((n_rows, chunks * width), dtype=unsigned)
+    np.copyto(codes[:, :n_cols], weight, casting="unsafe")
+    codes &= unsigned((1 << bits) - 1)
+    packed = np.empty((chunks, n_rows, bits), dtype=np.uint16)
+    plane = np.empty((n_rows, chunks), dtype=np.uint16)
+    for s in range(bits):
+        plane[...] = 0
+        for j in range(width):  # column j of each chunk -> bit T-1-j
+            bit = ((codes[:, j::width] >> s) & 1).astype(np.uint16)
+            plane |= bit << np.uint16(width - 1 - j)
+        packed[:, :, s] = plane.T
+    return packed
 
 
 def pack_bits_to_uint(bits: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..bitslice.slicer import bit_plane_weights, bit_slice
-from ..bitslice.packing import pack_bits_to_uint
+from ..bitslice.packing import pack_bits_to_uint, pack_transrows
 from ..errors import BitSliceError, SimulationError
 from ..hasse.graph import hasse_graph
 from ..scoreboard.algorithm import ScoreboardResult, run_scoreboard
@@ -412,11 +412,11 @@ class TransitiveGemmEngine:
     def plan(self, weight: np.ndarray, weight_bits: int) -> GemmPlan:
         """Precompute the static scoreboard of one weight matrix, offline.
 
-        Bit-slices, packs and scoreboards the weights exactly once, keeps the
-        OpCounts and drops the packed TransRows.  The returned
-        :class:`GemmPlan` pins the weight codes in their narrowest integer
-        dtype, the float32 and float64 weights and the row bound
-        :func:`exact_matmul` serves from.  Executions against the handle
+        Packs the weights into TransRows once (:func:`pack_transrows`),
+        scoreboards them, keeps the OpCounts and drops the packed TransRows.
+        The returned :class:`GemmPlan` pins the weight codes in their
+        narrowest integer dtype, the float32 and float64 weights and the row
+        bound :func:`exact_matmul` serves from.  Executions against the handle
         (:meth:`multiply_planned`, :meth:`multiply_many`) skip the per-call
         weight fingerprint and all weight-side work.  The LRU cache of
         :meth:`multiply` is neither read nor filled.
@@ -427,18 +427,18 @@ class TransitiveGemmEngine:
         if weight.shape[1] == 0 or weight.shape[0] == 0:
             raise SimulationError("cannot plan a weight matrix with a zero dimension")
         try:
-            packed = self._pack_all_chunks(weight, weight_bits)
+            packed = pack_transrows(weight, weight_bits, self.transrow_bits)
         except BitSliceError as error:
             raise SimulationError(
                 f"cannot plan {weight_bits}-bit weights: {error}"
             ) from error
         counts = batched_total_op_counts(
-            packed.reshape(packed.shape[0], -1).astype(np.int64),
+            packed.reshape(packed.shape[0], -1),
             width=self.transrow_bits,
             max_distance=self.max_distance,
         )
         del packed
-        # bit_slice range-checked every code against weight_bits, so the
+        # pack_transrows range-checked every code against weight_bits, so the
         # narrowing cast cannot wrap; it also copies, so a caller-side
         # mutation after plan() cannot reach the plan.
         weight = weight.astype(_code_dtype(weight_bits))
@@ -551,7 +551,7 @@ class TransitiveGemmEngine:
         if num_chunks == 0:
             # Degenerate GEMM: validate the operands exactly like the scalar
             # path would, then return the empty report.
-            bit_slice(weight, weight_bits)
+            pack_transrows(weight, weight_bits, width)
             return TransitiveGemmReport(
                 output=np.zeros((n_rows, n_out_cols), dtype=np.int64),
                 op_counts=self._empty_op_counts(),
@@ -601,8 +601,8 @@ class TransitiveGemmEngine:
                     return entry + (None,)
                 packed, counts = entry
         if packed is None:
-            packed = self._pack_all_chunks(weight, weight_bits)
-        bags = packed.reshape(packed.shape[0], -1).astype(np.int64)
+            packed = pack_transrows(weight, weight_bits, self.transrow_bits)
+        bags = packed.reshape(packed.shape[0], -1)
         batch: Optional[BatchedScoreboard] = None
         if want_batch:
             batch = run_scoreboard_batch(
@@ -620,29 +620,6 @@ class TransitiveGemmEngine:
         if use_cache and key is not None:
             self._cache.put(key, (packed, counts))
         return packed, counts, batch
-
-    def _pack_all_chunks(self, weight: np.ndarray, weight_bits: int) -> np.ndarray:
-        """Pack every ``T``-wide column chunk of every bit plane at once.
-
-        Returns a ``(chunks, N, S)`` uint16 array where entry ``[c, n, s]`` is
-        the packed value of plane ``s`` (LSB = 0) of weight row ``n`` in
-        column chunk ``c`` — the same values ``_chunk_transrows`` produces one
-        chunk at a time, zero-padding included.
-        """
-        width = self.transrow_bits
-        planes = bit_slice(weight, weight_bits).planes  # (S, N, K) uint8
-        bits, n_rows, n_cols = planes.shape
-        num_chunks = (n_cols + width - 1) // width
-        padded_cols = num_chunks * width
-        if padded_cols != n_cols:
-            padded = np.zeros((bits, n_rows, padded_cols), dtype=np.uint8)
-            padded[:, :, :n_cols] = planes
-        else:
-            padded = planes
-        packed = np.zeros((bits, n_rows, num_chunks), dtype=np.int64)
-        for j in range(width):  # column j of each chunk → bit T-1-j
-            packed += padded[:, :, j::width].astype(np.int64) << (width - 1 - j)
-        return packed.transpose(2, 1, 0).astype(np.uint16)
 
     def _batched_node_results_and_accumulate(
         self,

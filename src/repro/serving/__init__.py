@@ -29,7 +29,7 @@ scoreboard* was designed for: compile once, serve forever.
   :class:`RetryPolicy` applied around batch execution, and the
   overload-resilience pieces: the :class:`AdmissionController` behind
   adaptive load shedding / QoS brownout and the :class:`CircuitBreaker`
-  guarding the degraded-oracle fallback;
+  guarding the degraded fallback;
 * :mod:`repro.serving.faults` — the :class:`FaultInjector` chaos-testing
   harness (injected engine faults, worker crashes, artificial latency) and
   the seeded open-loop :class:`ArrivalSchedule` overload scenarios;

@@ -11,7 +11,6 @@ artifact the online server executes requests against.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
@@ -20,7 +19,7 @@ import numpy as np
 
 from ..core.metrics import OpCounts
 from ..core.transitive_gemm import BatchedGemmReport, GemmPlan, TransitiveGemmEngine
-from ..errors import ServingError
+from ..errors import ServingError, SimulationError
 from ..quant.schemes import SCHEME_REGISTRY
 from ..transarray.accelerator import (
     GemmProfile,
@@ -126,8 +125,6 @@ class ModelPlan:
         self.engine = engine
         self.accelerator = accelerator
         self.compile_stats = compile_stats
-        self._oracle: Optional[TransitiveGemmEngine] = None
-        self._oracle_lock = threading.Lock()
         self._layers: Dict[str, LayerPlan] = {}
         for layer in layers:
             if layer.name in self._layers:
@@ -256,35 +253,24 @@ class ModelPlan:
 
     # ----------------------------------------------------- degraded fallback
     def run_degraded(self, layer_name: str, activation: np.ndarray) -> np.ndarray:
-        """Execute one activation through the exact scalar oracle.
+        """Execute one activation through NumPy's int64 product.
 
-        The serving fault-tolerance fallback: when a fast-path micro-batch
-        keeps failing, the server re-runs each member alone through the
-        scalar reference implementation (``fast=False``, no BLAS product, no
-        shared caches) — the slowest but most independent execution path in
-        the repo, and bit-identical to the fast path by the engine's core
-        invariant.  A batch-poisoning request then fails alone instead of
-        failing its whole micro-batch, and a (hypothetically) faulty kernel
-        cannot poison the fallback.
+        The serving fault-tolerance fallback: when a micro-batch keeps
+        failing, the server re-runs each member alone through
+        ``layer.weight @ activation`` in int64.  NumPy's integer matmul does
+        not use BLAS, so a faulty :func:`~repro.core.exact_matmul` kernel
+        cannot poison the fallback, and it wraps modulo ``2**64`` exactly as
+        every other int64 path does.  A batch-poisoning request then fails
+        alone instead of failing its whole micro-batch.
         """
         layer = self.layer(layer_name)
-        report = self._scalar_oracle().multiply(
-            layer.weight, activation, layer.gemm_plan.weight_bits
-        )
-        return report.output
-
-    def _scalar_oracle(self) -> TransitiveGemmEngine:
-        """Lazily-built scalar engine matching the plan's compile parameters."""
-        with self._oracle_lock:
-            if self._oracle is None:
-                self._oracle = TransitiveGemmEngine(
-                    transrow_bits=self.engine.transrow_bits,
-                    max_distance=self.engine.max_distance,
-                    num_lanes=self.engine.num_lanes,
-                    fast=False,
-                    scoreboard_cache_entries=0,
-                )
-            return self._oracle
+        activation = np.asarray(activation, dtype=np.int64)
+        if activation.ndim != 2 or activation.shape[0] != layer.gemm_plan.k:
+            raise SimulationError(
+                f"shape mismatch: layer '{layer_name}' weight "
+                f"{layer.weight.shape} x activation {activation.shape}"
+            )
+        return np.matmul(layer.weight, activation)
 
 def _bits_needed(values: np.ndarray) -> int:
     """Smallest signed two's-complement width holding every value."""

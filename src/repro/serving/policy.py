@@ -16,8 +16,8 @@ about) without a running server:
   progressively as the queue fills, each shed carrying a retry-after hint in
   its :class:`~repro.errors.ShedError`;
 * :class:`CircuitBreaker` — a closed/open/half-open breaker around the
-  degraded scalar-oracle fallback, so sustained fast-path failure trips to
-  fast shedding instead of the ~35x slower oracle compounding the overload.
+  degraded per-request fallback, so sustained fast-path failure trips to
+  fast shedding instead of unbatched products compounding the overload.
 """
 
 from __future__ import annotations
@@ -312,13 +312,15 @@ BREAKER_HALF_OPEN = "half_open"
 
 
 class CircuitBreaker:
-    """Closed/open/half-open breaker around the degraded-oracle fallback.
+    """Closed/open/half-open breaker around the degraded fallback.
 
-    The scalar oracle is exact but ~35x slower than the compiled fast path;
-    under sustained overload, routing every failing batch through it is a
-    textbook retry/fallback death spiral.  The breaker watches fast-path
-    outcomes: a batch that exhausts its retries records a **failure**, a
-    batch that completes on the fast path records a **success**.
+    The degraded path runs every request alone through NumPy's int64
+    product: exact, but unbatched and without BLAS, so slower than the
+    compiled fast path.  Under sustained overload, routing every failing
+    batch through it is a textbook retry/fallback death spiral.  The breaker
+    watches fast-path outcomes: a batch that exhausts its retries records a
+    **failure**, a batch that completes on the fast path records a
+    **success**.
 
     * ``closed`` — fallback allowed.  Trips ``open`` when either
       ``failure_threshold`` *consecutive* failures accumulate, or the
@@ -329,8 +331,8 @@ class CircuitBreaker:
       fast with :class:`~repro.errors.ShedError` carrying the remaining
       cooldown as the retry-after hint.
     * ``half_open`` — after ``cooldown_s``, exactly one failing batch is let
-      through to the oracle as a probe; another failure re-opens, while any
-      fast-path success closes the breaker immediately (from any state —
+      through to the degraded path as a probe; another failure re-opens,
+      while any fast-path success closes the breaker immediately (from any state —
       the condition being guarded is fast-path health).
 
     ``clock`` is injectable for deterministic state-machine tests.

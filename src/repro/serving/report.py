@@ -356,7 +356,7 @@ class _LayerTotals:
     #: Finished stage requests per terminal state.
     states: Counter = field(default_factory=Counter)
     retries: int = 0
-    #: Completed requests that the degraded oracle served.
+    #: Completed requests that the degraded fallback served.
     degraded: int = 0
     #: Activation columns of completed requests.
     columns: int = 0

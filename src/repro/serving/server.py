@@ -21,8 +21,8 @@ On top of that sits the fault-tolerance layer:
 * **retries & degraded mode** — transient batch failures are retried under
   the :class:`~repro.serving.policy.RetryPolicy`; when retries are exhausted
   (or the failure is not transient) each member of the batch is re-run alone
-  through the exact scalar oracle (``fast=False``), so one poisoned request
-  fails alone instead of failing its micro-batch;
+  through NumPy's int64 product (no BLAS, so independent of the kernel), so
+  one poisoned request fails alone instead of failing its micro-batch;
 * **supervision & health** — a supervisor thread restarts workers whose loop
   an exception escaped (their in-flight batch is requeued first), up to a
   restart budget, and :meth:`Server.health` exposes live liveness/counter
@@ -44,9 +44,9 @@ layer:
   :class:`~repro.errors.ShedError` with a retry-after hint;
 * **degraded-path circuit breaker** — a
   :class:`~repro.serving.policy.CircuitBreaker` (default on) around the
-  scalar-oracle fallback: sustained fast-path failure trips it open and
-  failing batches are shed fast instead of compounding the overload through
-  the ~35x slower oracle;
+  degraded fallback: sustained fast-path failure trips it open and failing
+  batches are shed fast instead of compounding the overload through
+  unbatched per-request products;
 * **zero-downtime plan swap** — :meth:`Server.swap_plan` drains in-flight
   batches to a plan-quiescent point and installs a shape-compatible new
   plan (weight update) without dropping or reordering a single admitted
@@ -161,14 +161,14 @@ class Server:
         Backoff policy for transient batch failures; ``None`` disables
         retries entirely (failures go straight to the degraded fallback).
     degraded_fallback:
-        Re-run each member of a failed batch alone through the exact scalar
-        oracle before giving up (default on).
+        Re-run each member of a failed batch alone through NumPy's int64
+        product before giving up (default on).
     admission_control:
         Adaptive load shedding: ``True`` (default) installs a default
         :class:`~repro.serving.policy.AdmissionController`, ``False`` turns
         shedding off, or pass a configured controller instance.
     degraded_breaker:
-        Circuit breaker guarding the degraded-oracle fallback: ``True``
+        Circuit breaker guarding the degraded fallback: ``True``
         (default) installs a default
         :class:`~repro.serving.policy.CircuitBreaker`, ``False`` disables
         it, or pass a configured breaker instance.
@@ -899,7 +899,7 @@ class Server:
         The circuit breaker watches the outcomes: a fast-path success records
         success, exhausted retries (or a non-transient failure) record
         failure — and when the accumulated failures tripped it open, the
-        batch is shed instead of taking the slow degraded oracle.
+        batch is shed instead of taking the per-request degraded path.
         """
         attempt = 1
         while True:
@@ -940,7 +940,7 @@ class Server:
     def _shed_breaker_blocked(
         self, claimed: List[Request], cause: BaseException
     ) -> None:
-        """Shed a failed batch the open breaker keeps away from the oracle."""
+        """Shed a failed batch the open breaker keeps off the degraded path."""
         retry_after = self.breaker.retry_after_s() if self.breaker else 0.0
         now = time.perf_counter()
         for request in claimed:
@@ -956,9 +956,10 @@ class Server:
             )
 
     def _execute_degraded(self, claimed: List[Request]) -> None:
-        """Per-request scalar-oracle fallback for a batch that kept failing.
+        """Per-request int64 fallback for a batch that kept failing.
 
-        Serving each request alone through the exact oracle isolates a
+        Serving each request alone through :meth:`ModelPlan.run_degraded`
+        (NumPy's int64 product, which does not use BLAS) isolates a
         batch-poisoning request: its neighbours still complete bit-exactly,
         and only the poisoned request fails with its own error.
         """

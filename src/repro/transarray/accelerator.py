@@ -23,6 +23,7 @@ from ..energy.energy_model import EnergyParameters
 from ..energy.sram import sram_energy_per_byte_pj
 from ..errors import SimulationError
 from ..baselines.base import Accelerator, PerformanceReport, WorkloadLike, as_workload
+from ..bitslice.packing import pack_transrows
 from ..scoreboard.batched import run_scoreboards_batched
 from ..scoreboard.static import StaticScoreboard
 from ..workloads.gemm import GemmShape
@@ -91,11 +92,6 @@ class TransitiveArrayAccelerator(Accelerator):
         Optional callable returning real weight matrices; synthetic uniform
         weights are generated otherwise (Sec. 5.9 shows real data is slightly
         *better*, so synthetic data is the conservative choice).
-    fast:
-        Scoreboard every sampled sub-tile of a GEMM in one batched array pass
-        (:func:`repro.scoreboard.batched.run_scoreboards_batched`) instead of
-        one scalar run per sample.  Reports are identical either way; the
-        flag only trades the scalar reference path for the vectorized one.
     """
 
     def __init__(
@@ -108,7 +104,6 @@ class TransitiveArrayAccelerator(Accelerator):
         weight_provider: Optional[WeightProvider] = None,
         seed: int = 2025,
         clock_hz: float = CLOCK_FREQUENCY_HZ,
-        fast: bool = True,
     ) -> None:
         if scoreboard_mode not in ("dynamic", "static"):
             raise SimulationError(
@@ -123,7 +118,6 @@ class TransitiveArrayAccelerator(Accelerator):
         self.samples_per_gemm = samples_per_gemm
         self.weight_provider = weight_provider
         self.clock_hz = clock_hz
-        self.fast = fast
         self._rng = np.random.default_rng(seed)
         self.unit = TransArrayUnit(config)
         self.name = f"transarray-{config.transrow_bits}t"
@@ -152,20 +146,24 @@ class TransitiveArrayAccelerator(Accelerator):
         padded[: tile.shape[0], : tile.shape[1]] = tile
         return padded
 
-    def _subtile_values(self, weight_tile: np.ndarray, weight_bits: int) -> List[int]:
-        """Packed TransRow values of one weight sub-tile."""
-        from ..bitslice.transrow import extract_transrows
+    def _subtile_values(self, shape: GemmShape, plan: TilingPlan) -> List[List[int]]:
+        """Packed TransRow values of every sampled sub-tile of one GEMM.
 
-        rows = extract_transrows(weight_tile, weight_bits, self.config.transrow_bits)
-        return [row.value for row in rows]
+        Each sample lists its TransRows row-major, MSB plane first (the order
+        of :func:`repro.bitslice.binary_weight_matrix`).  The tiles are drawn
+        in order, then packed together in one :func:`pack_transrows` pass.
+        """
+        tiles = [
+            self._sample_weight_tile(shape, plan) for _ in range(self.samples_per_gemm)
+        ]
+        packed = pack_transrows(
+            np.concatenate(tiles), shape.weight_bits, self.config.transrow_bits
+        )  # one chunk: each tile is exactly T columns wide
+        return packed[0, :, ::-1].reshape(len(tiles), -1).tolist()
 
     def _profile_gemm(self, shape: GemmShape, plan: TilingPlan) -> SubTileReport:
         """Mean sub-tile profile over the sampled sub-tiles of one GEMM."""
-        static = None
-        samples: List[List[int]] = []
-        for _ in range(self.samples_per_gemm):
-            tile = self._sample_weight_tile(shape, plan)
-            samples.append(self._subtile_values(tile, shape.weight_bits))
+        samples = self._subtile_values(shape, plan)
         if self.scoreboard_mode == "static":
             static = StaticScoreboard(
                 width=self.config.transrow_bits,
@@ -176,7 +174,7 @@ class TransitiveArrayAccelerator(Accelerator):
             static.fit(calibration)
             reports = [self.unit.profile_subtile(values, static_scoreboard=static)
                        for values in samples]
-        elif self.fast:
+        else:
             # One batched array pass scoreboards every sample; the rebuilt
             # per-sample results are exactly what the scalar runs would give.
             results = run_scoreboards_batched(
@@ -187,8 +185,6 @@ class TransitiveArrayAccelerator(Accelerator):
             )
             reports = [self.unit.profile_subtile(values, result=result)
                        for values, result in zip(samples, results)]
-        else:
-            reports = [self.unit.profile_subtile(values) for values in samples]
         return self._mean_report(reports)
 
     @staticmethod

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..bitslice.slicer import bit_plane_weights, bit_slice
-from ..bitslice.packing import pack_bits_to_uint
+from ..bitslice.slicer import bit_plane_weights
+from ..bitslice.packing import pack_transrows
 from ..config import TransArrayConfig
 from ..core.metrics import OpCounts, op_counts_from_result
 from ..errors import SimulationError
@@ -177,16 +177,17 @@ class TransArrayUnit:
                 f"activation tile must have {width} rows, got {act_tile.shape}"
             )
 
-        planes = bit_slice(weight_tile, weight_bits)
+        packed = pack_transrows(weight_tile, weight_bits, width)[0]  # (n, S)
         plane_weights = bit_plane_weights(weight_bits)
         n_rows = weight_tile.shape[0]
         m = act_tile.shape[1]
 
-        transrows: List[tuple] = []
-        for row in range(n_rows):
-            for plane in range(weight_bits - 1, -1, -1):
-                value = int(pack_bits_to_uint(planes.planes[plane, row]))
-                transrows.append((value, row, plane))
+        # (value, row, plane) triples, row-major with the MSB plane first.
+        transrows = [
+            (int(packed[row, plane]), row, plane)
+            for row in range(n_rows)
+            for plane in range(weight_bits - 1, -1, -1)
+        ]
 
         outcome = self.scoreboard.process([value for value, _, _ in transrows])
         info = ScoreboardInfo.from_result(outcome.result)

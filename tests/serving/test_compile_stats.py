@@ -93,7 +93,7 @@ ENGINE_MODULE = importlib.import_module("repro.core.transitive_gemm")
 class TestDegradedBypass:
     def test_degraded_fallback_never_touches_the_kernel(self, monkeypatch):
         # Booby-trap the kernel: if the degraded path executed it, it would
-        # blow up — the oracle must stay fully independent.
+        # blow up — the fallback must stay fully independent.
         plan = compile_workload(_workload(num_layers=1))
         layer = plan.layer("layer0")
 
@@ -108,8 +108,14 @@ class TestDegradedBypass:
         with pytest.raises(AssertionError):
             plan.run("layer0", act)  # the fast path *does* use the kernel
 
-    def test_scalar_oracle_engine_is_the_scalar_path(self):
-        plan = compile_workload(_workload(num_layers=1))
-        oracle = plan._scalar_oracle()
-        assert oracle.fast is False
-        assert oracle.scoreboard_cache_info().max_entries == 0
+    def test_degraded_output_is_the_python_int_product(self):
+        plan = compile_workload(_workload(num_layers=1, weight_bits=8))
+        weight = plan.layer("layer0").weight
+        rng = np.random.default_rng(3)
+        # Large activations: the int64 accumulation is still exact here
+        # (|y| < 20 * 128 * 2**40 < 2**63), and the object product proves it.
+        act = rng.integers(-(2**40), 2**40, size=(20, 3), dtype=np.int64)
+        output = plan.run_degraded("layer0", act)
+        assert output.dtype == np.int64
+        expected = weight.astype(object) @ act.astype(object)
+        assert output.astype(object).tolist() == expected.tolist()

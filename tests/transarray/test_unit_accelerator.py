@@ -133,3 +133,57 @@ class TestAccelerator:
         report = TransitiveArrayAccelerator(samples_per_gemm=2).simulate(workload)
         assert set(report.per_gemm_cycles) == {"a", "b"}
         assert report.cycles == sum(report.per_gemm_cycles.values())
+
+
+def _seeded_provider(shape):
+    lo, hi = -(1 << (shape.weight_bits - 1)), (1 << (shape.weight_bits - 1)) - 1
+    return np.random.default_rng(11).integers(lo, hi + 1, size=(shape.n, shape.k))
+
+
+#: ``simulate_gemm`` outcomes at seed 7 with 5 samples: (cycles,
+#: compute_cycles, dram_cycles, energy.total_nj, op_counts fields).  Both
+#: shapes are ragged (n and k are not multiples of the sub-tile), so the
+#: provider's edge tiles exercise the zero padding.
+PINNED_PROFILES = {
+    ("w4", "synthetic"): (2634, 2634, 1157, 4053.110149470357,
+                          (8, 1280, 9, 806, 465, 22, 0, 5146)),
+    ("w4", "provider"): (2395, 2395, 1157, 3400.1929244155563,
+                         (8, 1280, 452, 538, 289, 44, 4, 3322)),
+    ("w4", "static"): (1654, 1654, 1157, 3887.753653066771,
+                       (8, 1280, 9, 806, 465, 241, 0, 5146)),
+    ("w8", "synthetic"): (542, 542, 332, 817.0643303820957,
+                          (8, 1280, 4, 799, 477, 16, 0, 5049)),
+    ("w8", "provider"): (542, 542, 332, 818.9755834296071,
+                         (8, 1280, 2, 813, 465, 21, 0, 5134)),
+    ("w8", "static"): (332, 240, 332, 765.1329034950825,
+                       (8, 1280, 4, 799, 477, 209, 0, 5049)),
+}
+PINNED_SHAPES = {
+    "w4": GemmShape("w4", 200, 300, 40, weight_bits=4),
+    "w8": GemmShape("w8", 96, 100, 24, weight_bits=8),
+}
+PINNED_MODES = {
+    "synthetic": {},
+    "provider": {"weight_provider": _seeded_provider},
+    "static": {"scoreboard_mode": "static"},
+}
+
+
+class TestPinnedProfiles:
+    """The sampled cost model is deterministic: these figures must not move
+    when the TransRow packing or the scoreboard implementation changes."""
+
+    @pytest.mark.parametrize("shape_name,mode", sorted(PINNED_PROFILES))
+    def test_simulate_gemm_is_pinned(self, shape_name, mode):
+        accelerator = TransitiveArrayAccelerator(
+            samples_per_gemm=5, seed=7, **PINNED_MODES[mode]
+        )
+        profile = accelerator.simulate_gemm(PINNED_SHAPES[shape_name])
+        cycles, compute, dram, energy_nj, counts = PINNED_PROFILES[shape_name, mode]
+        assert profile.cycles == cycles
+        assert profile.compute_cycles == compute
+        assert profile.dram_cycles == dram
+        assert profile.energy.total_nj == energy_nj
+        oc = profile.op_counts
+        assert (oc.width, oc.total_transrows, oc.zero_rows, oc.pr_ops, oc.fr_ops,
+                oc.tr_ops, oc.outlier_ops, oc.set_bits) == counts
